@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .bounds import haagerup_constant, interpolation_bound, sharp_pairwise_value
 from .constructions import independent_space, partition_space, xor_space
+from .core import _frac_str
 from .extremal import solve_full, solve_reduced
 from .independence import check_kwise
 from .intervals import DEFAULT_PREC, Interval
@@ -46,16 +47,22 @@ def _weights(text: str) -> Weights:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _int_list(text: str) -> list[int]:
     return [int(s) for s in text.split(",")]
 
 
 def _fraction_list(text: str) -> list[Fraction]:
     return [_fraction(s) for s in text.split(",")]
-
-
-def _frac_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
 
 
 def _interval_json(iv: Interval, bits: int) -> dict:
@@ -186,6 +193,9 @@ def _cmd_estimate(args) -> dict:
 
 def _cmd_table(args) -> list[dict]:
     prec = args.precision_bits
+    # the constant depends on p alone; lower endpoint, so that the emitted
+    # number stays a valid baseline
+    haagerup = {}
     rows = []
     for n in args.n:
         for p in args.p:
@@ -193,6 +203,8 @@ def _cmd_table(args) -> list[dict]:
                 if not 1 <= k <= n:
                     continue
                 sol = solve_reduced(n, p, k, prec=prec)
+                if p not in haagerup:
+                    haagerup[p] = haagerup_constant(p, prec).decimal_bounds(DIGITS)[0]
                 ratio = ratio_from_moment(sol.optimal_value, p, Fraction(n), prec)
                 row = {
                     "n": n,
@@ -203,8 +215,7 @@ def _cmd_table(args) -> list[dict]:
                     "ratio_hi": ratio.decimal_bounds(DIGITS)[1],
                     "sharp": None,
                     "interpolation": None,
-                    # lower endpoint: the emitted number must stay a valid baseline
-                    "haagerup": haagerup_constant(p, prec).decimal_bounds(DIGITS)[0],
+                    "haagerup": haagerup[p],
                 }
                 if n % 2 == 0 and k in (2, 3) and p >= 2:
                     row["sharp"] = sharp_pairwise_value(n, p, prec).decimal_bounds(DIGITS)[1]
@@ -227,7 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def fmt(p):
         p.add_argument("--format", choices=("json", "csv", "table"), default="json")
-        p.add_argument("--precision-bits", type=int, default=DEFAULT_PREC)
+        p.add_argument("--precision-bits", type=_positive_int, default=DEFAULT_PREC)
 
     p = sub.add_parser("construct", help="build a named sample space")
     p.add_argument("--construct", choices=sorted(CONSTRUCTIONS), required=True)
@@ -258,11 +269,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=_fraction, required=True)
     p.add_argument("--k", type=int, required=True)
-    grp = p.add_mutually_exclusive_group()
-    grp.add_argument("--reduced", action="store_true", default=True,
-                     help="exchangeable weight-class program (default)")
-    grp.add_argument("--full", action="store_true", default=False,
-                     help="unreduced program over all laws, one variable per atom")
+    p.add_argument("--full", action="store_true",
+                   help="unreduced program over all laws, one variable per atom "
+                   "(default: the exchangeable weight-class program)")
     p.add_argument("--a", type=_weights, help="weights for the unreduced program")
     fmt(p)
 
@@ -270,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("partition", "xor", "independent"), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=1)
+    p.add_argument("--samples", type=_positive_int, default=1)
     fmt(p)
 
     p = sub.add_parser("estimate", help="Monte Carlo moment estimate")
@@ -279,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=_fraction, required=True)
     p.add_argument("--a", type=_weights)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=10000)
+    p.add_argument("--samples", type=_positive_int, default=10000)
     fmt(p)
 
     p = sub.add_parser("table", help="sweep (n, p, k) and compare against bounds")

@@ -1,7 +1,8 @@
 """Largest p-th moments over k-wise independent sign laws, as exact LPs.
 
 Two routes to the same optimum: `solve_full` works on all 2^n sign patterns
-with one parity constraint per coordinate subset of size at most k, while
+with one parity constraint per coordinate subset of size at most k (solved
+on the flip-symmetric pairs {x, ~x}, certified on the unreduced rows), while
 `solve_reduced` exploits permutation symmetry and optimizes over Hamming
 weight profiles with k constraint rows.  Both return exact rational values
 for integer exponents, certified enclosures otherwise, and every solution is
@@ -122,7 +123,9 @@ class LpSolution:
     via `simplex.verify_certificate`, which `certificate_ok` records; a run
     with `certify=False` skips the check (`certificate_ok` is None) and on
     the wide unreduced programs also drops the dual, which dominates the
-    cost there, leaving `dual` None.
+    cost there, leaving `dual` None.  On the unreduced route the dual is
+    aligned with `full_constraint_labels` and is 0 on every odd-size label,
+    since the solve runs on the flip-symmetric program.
     """
 
     kind: str
@@ -164,17 +167,21 @@ def _reduced_solver(n: int, k: int) -> ExactSimplex:
     return ExactSimplex([list(r) for r in rows], list(rhs))
 
 
-def _solve_three_ways(solver, objective, certify, need_dual=True):
+def _solve_three_ways(solver, objective, certify, need_dual=True, check=None):
     """One exact pass for Fraction coefficients, three directed passes for
-    Interval coefficients.  Returns (value, x, dual, certificate_ok)."""
-    rows = solver.rows
-    rhs = solver.rhs
+    Interval coefficients.  Returns (value, x, dual, certificate_ok).
+
+    `check(c, x, y)` decides each pass's certificate; by default it is the
+    solver's own program."""
+    if check is None:
+        def check(c, x, y):
+            return verify_certificate(solver.rows, solver.rhs, c, x, y)
     need_dual = need_dual or certify
     if not any(isinstance(v, Interval) for v in objective):
         c = [Fraction(v) for v in objective]
         res = solver.maximize(c, need_dual=need_dual)
-        ok = verify_certificate(rows, rhs, c, res.x, res.y) if certify else None
-        return res.value, res.x, res.y, ok, c
+        ok = check(c, res.x, res.y) if certify else None
+        return res.value, res.x, res.y, ok
     lo = [v.lo if isinstance(v, Interval) else Fraction(v) for v in objective]
     hi = [v.hi if isinstance(v, Interval) else Fraction(v) for v in objective]
     mid = [(a + b) / 2 for a, b in zip(lo, hi)]
@@ -184,12 +191,12 @@ def _solve_three_ways(solver, objective, certify, need_dual=True):
     ok = None
     if certify:
         ok = (
-            verify_certificate(rows, rhs, lo, res_lo.x, res_lo.y)
-            and verify_certificate(rows, rhs, hi, res_hi.x, res_hi.y)
-            and verify_certificate(rows, rhs, mid, res_mid.x, res_mid.y)
+            check(lo, res_lo.x, res_lo.y)
+            and check(hi, res_hi.x, res_hi.y)
+            and check(mid, res_mid.x, res_mid.y)
         )
     value = Interval(res_lo.value, res_hi.value)
-    return value, res_mid.x, res_mid.y, ok, None
+    return value, res_mid.x, res_mid.y, ok
 
 
 def solve_reduced(
@@ -207,7 +214,7 @@ def solve_reduced(
     is filled in (integer p only)."""
     program = reduced_lp(n, p, k, prec)
     solver = _reduced_solver(n, k)
-    value, x, dual, cert_ok, _ = _solve_three_ways(solver, program.objective, certify)
+    value, x, dual, cert_ok = _solve_three_ways(solver, program.objective, certify)
     sol = LpSolution(
         kind="reduced",
         n=n,
@@ -224,27 +231,30 @@ def solve_reduced(
     return sol
 
 
+def _parity_row(subset: tuple[int, ...], columns) -> tuple[int, ...]:
+    """+1 on the atoms where the subset holds an even number of minus signs
+    (clear bits), -1 elsewhere."""
+    mask = 0
+    for i in subset:
+        mask |= 1 << i
+    size = len(subset)
+    return tuple(
+        -1 if (mask & x).bit_count() & 1 != size & 1 else 1 for x in columns
+    )
+
+
 @lru_cache(maxsize=None)
 def _full_rows(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """Constraint rows of the unreduced program: normalization, then the
     parity row of every coordinate subset of size 1..k, in size-then-lex
     order.  Returns (rows, rhs, subset labels)."""
-    cols = 1 << n
-    rows = [tuple([1] * cols)]
+    cols = range(1 << n)
     labels = [()]
     for size in range(1, k + 1):
-        for subset in combinations(range(n), size):
-            mask = 0
-            for i in subset:
-                mask |= 1 << i
-            row = tuple(
-                -1 if (mask & x).bit_count() & 1 != size & 1 else 1
-                for x in range(cols)
-            )
-            rows.append(row)
-            labels.append(subset)
+        labels += combinations(range(n), size)
+    rows = tuple(_parity_row(t, cols) for t in labels)
     rhs = (1,) + (0,) * (len(rows) - 1)
-    return tuple(rows), rhs, tuple(labels)
+    return rows, rhs, tuple(labels)
 
 
 def full_constraint_labels(n: int, k: int) -> tuple[tuple[int, ...], ...]:
@@ -254,90 +264,15 @@ def full_constraint_labels(n: int, k: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _full_solver(n: int, k: int) -> ExactSimplex:
-    rows, rhs, _ = _full_rows(n, k)
-    return ExactSimplex([list(r) for r in rows], list(rhs))
-
-
-def _float_vertex(n: int, k: int, cost: list) -> tuple[list[int], list[int]] | None:
-    """Floating-point solve of the unreduced program with the given
-    minimization costs.  Returns the support of the vertex found, ordered
-    by decreasing mass, and separately the columns the float dual prices
-    as tight (the rest of the candidate optimal face, where the exact
-    basis hides when rounding noise picks a different vertex than the
-    exact solve will).
-
-    Purely advisory.  The exact solver re-proves feasibility and optimality
-    through its own pivoting whatever this returns, so the guess is allowed
-    to fail (no scipy, overflow, solver breakdown) and then costs nothing
-    but the speed it would have bought."""
-    try:
-        from scipy.optimize import linprog
-    except ImportError:
-        return None
-    try:
-        import numpy as np
-
-        rows, rhs, _ = _full_rows(n, k)
-        A = np.array(rows, dtype=float)
-        res = linprog(
-            cost,
-            A_eq=A,
-            b_eq=np.array(rhs, dtype=float),
-            bounds=(0.0, None),
-            method="highs",
-        )
-        if not res.success or res.x is None:
-            return None
-        mass = res.x
-        support = [j for j, q in enumerate(mass) if q > 1e-9]
-        support.sort(key=lambda j: -mass[j])
-        if not support:
-            return None
-        y = getattr(getattr(res, "eqlin", None), "marginals", None)
-        if y is None:
-            return support, []
-        c = np.asarray(cost, dtype=float)
-        tol = 1e-7 * max(1.0, float(np.abs(c).max()))
-        # a support column must price to zero; that pins down which sign
-        # convention this scipy build uses for the equality multipliers
-        priced = c - np.asarray(y, dtype=float) @ A
-        if abs(priced[support[0]]) > tol:
-            priced = c + np.asarray(y, dtype=float) @ A
-            if abs(priced[support[0]]) > tol:
-                return support, []
-        slack = np.abs(priced)
-        chosen = set(support)
-        face = [(slack[j], j) for j in np.flatnonzero(slack < tol) if j not in chosen]
-        face.sort()
-        return support, [int(j) for _, j in face]
-    except Exception:
-        return None
-
-
-def _float_hint(n: int, k: int, objective) -> tuple[list[int], list[int]] | None:
-    """Advisory support and face for one objective of the unreduced program."""
-    cost = []
-    for v in objective:
-        if isinstance(v, Interval):
-            cost.append(-(float(v.lo) + float(v.hi)) / 2.0)
-        else:
-            cost.append(-float(v))
-    return _float_vertex(n, k, cost)
-
-
-def _probe_hint(n: int, k: int, dots) -> list[int] | None:
-    """Advisory seed for the search for a first feasible basis: the support
-    of a vertex optimal for the lowest moment degree the independence order
-    does not already fix.  Moment objectives of degree at most the order are
-    constant across the whole feasible region, so their float dual prices
-    every column as optimal and the hint degrades into noise; the probe
-    degree has real slopes and its vertex support is a small feasible
-    target whose columns phase 1 can settle on directly."""
-    e = k + 2 if k % 2 == 0 else k + 1
-    cost = [-float(d) ** e for d in dots]
-    got = _float_vertex(n, k, cost)
-    return got[0] if got else None
+def _flip_solver(n: int, k: int) -> ExactSimplex:
+    """The flip-symmetric program for even k: one column per pair {x, ~x},
+    indexed by x - 2^(n-1) for the member x with the top bit set, and the
+    normalization and even-size parity rows only."""
+    cols = range(1 << (n - 1), 1 << n)
+    rows = [_parity_row((), cols)]
+    for size in range(2, k + 1, 2):
+        rows += (_parity_row(t, cols) for t in combinations(range(n), size))
+    return ExactSimplex(rows, [1] + [0] * (len(rows) - 1))
 
 
 def solve_full(
@@ -353,14 +288,24 @@ def solve_full(
 
     The parity row of a subset T is (+1 on atoms where T holds an even
     number of minus signs, -1 otherwise); constraining all of them to zero
-    for 1 <= |T| <= k is exactly k-wise independence."""
+    for 1 <= |T| <= k is exactly k-wise independence.
+
+    Flipping every sign keeps |<a, x>|^p and every even-size parity and
+    negates every odd-size one, so the average of an optimal law and its
+    flip is optimal too, and it meets the odd-size rows by symmetry.  The
+    solve therefore runs on the flip-symmetric program (one column per pair
+    {x, ~x}, even-size rows only; k = 2j + 1 shares the k = 2j solver) and
+    splits each pair's mass evenly between x and ~x.  The dual gets zeros on
+    the odd-size rows, and the certificate is checked against the unreduced
+    rows."""
     pf = _validate(n, p, k, MAX_FULL_DIMENSION)
     if a is None:
         a = Weights.all_ones(n)
     if a.n != n:
         raise ValueError(f"weight vector has dimension {a.n}, expected {n}")
-    cols = 1 << n
-    dots = [abs(a.dot_bits(x)) for x in range(cols)]
+    half = 1 << (n - 1)
+    flip = (1 << n) - 1
+    dots = [abs(a.dot_bits(x)) for x in range(half, 1 << n)]
     if pf.denominator == 1:
         e = int(pf)
         objective = [v**e for v in dots]
@@ -371,39 +316,43 @@ def solve_full(
             if v not in memo:
                 memo[v] = rational_power(v, pf, prec)
             objective.append(memo[v])
-    solver = _full_solver(n, k)
-    fixed = pf.denominator == 1 and int(pf) % 2 == 0 and pf <= k
-    # a moment of even degree at most the independence order is the same for
-    # every feasible law, so the reduced costs vanish at any feasible basis
-    # and a pivot-order hint has nothing to buy
-    guess = None if fixed else _float_hint(n, k, objective)
-    if not solver.phase1_done:
-        first = None
-        if guess and (len(guess[0]) + len(guess[1])) * 4 <= cols * 3:
-            first = guess[0]
-        if first is None:
-            first = _probe_hint(n, k, dots)
-        if first:
-            solver.set_hint(first)
-        solver.prepare()
-    if guess:
-        solver.set_hint(guess[0] + guess[1])
-    value, x, dual, cert_ok, _ = _solve_three_ways(
-        solver, objective, certify, need_dual=certify
+    solver = _flip_solver(n, k - k % 2)
+    solver.prepare()
+    # the column of atom x: its own pair, whichever member it is
+    pair = [(x if x >= half else x ^ flip) - half for x in range(1 << n)]
+
+    def expand(q):
+        return [q[j] / 2 for j in pair]
+
+    def lift(y):
+        """Dual on the unreduced rows: zero on every odd-size label."""
+        if y is None:
+            return None
+        even = iter(y)
+        return tuple(
+            next(even) if len(t) % 2 == 0 else Fraction(0)
+            for t in full_constraint_labels(n, k)
+        )
+
+    def check(c, q, y):
+        rows, rhs, _ = _full_rows(n, k)
+        return verify_certificate(rows, rhs, [c[j] for j in pair], expand(q), lift(y))
+
+    value, q, dual, cert_ok = _solve_three_ways(
+        solver, objective, certify, need_dual=certify, check=check
     )
-    masses = {bits: q for bits, q in enumerate(x) if q}
-    sol = LpSolution(
+    masses = {x: v for x, v in enumerate(expand(q)) if v}
+    return LpSolution(
         kind="full",
         n=n,
         p=pf,
         k=k,
         optimal_value=value,
         optimizer=SampleSpace(n, masses),
-        dual=dual,
+        dual=lift(dual),
         certificate_ok=cert_ok,
         note=ODD_DIMENSION_NOTE if n % 2 else None,
     )
-    return sol
 
 
 def uniqueness_check(solution: LpSolution, n: int, p, k: int) -> bool:

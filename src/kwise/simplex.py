@@ -8,9 +8,8 @@ the reduced rows stay near machine-word size while a single shared divisor in
 the style of Bareiss would drag hundred-digit integers through every pivot.
 Ratio comparisons never need the divisors at all: within one row they cancel.
 
-Entering columns follow Dantzig's largest-violation rule, optionally biased
-toward a caller-supplied hint set scanned ahead of the rest; leaving rows use the
-lexicographic ratio test anchored on the basis held at the start of the
+Entering columns follow Dantzig's largest-violation rule; leaving rows use
+the lexicographic ratio test anchored on the basis held at the start of the
 run, whose tableau block is a scaled identity, so all rows start
 lexicographically positive and no basis can repeat.  That matters here: the
 moment programs are so degenerate that Bland's rule, while equally exact,
@@ -53,12 +52,7 @@ class ExactSimplex:
     several objectives against the same constraints stay cheap.
     """
 
-    def __init__(
-        self,
-        rows: Sequence[Sequence[int]],
-        rhs: Sequence[int],
-        hint: Sequence[int] | None = None,
-    ):
+    def __init__(self, rows: Sequence[Sequence[int]], rhs: Sequence[int]):
         if not rows:
             raise ValueError("no constraint rows")
         n = len(rows[0])
@@ -74,30 +68,9 @@ class ExactSimplex:
         self.m = len(rows)
         self.rows = [list(r) for r in rows]
         self.rhs = list(rhs)
-        self._hint: tuple[int, ...] = ()
         self._state: tuple[list[list[int]], list[int], list[int]] | None = None
         self._warm: tuple[list[list[int]], list[int], list[int]] | None = None
         self._warm_dual = True
-        if hint is not None:
-            self.set_hint(hint)
-
-    def set_hint(self, columns: Sequence[int]) -> None:
-        """Columns believed to carry the relevant basis, scanned first when
-        choosing entering columns.  A guess from any source is safe: it
-        biases the pivot order and nothing else, and a wrong one only costs
-        the pivots it wasted.  The hint in effect when phase 1 runs steers
-        the search for feasibility; setting a fresh one before a `maximize`
-        steers that objective's pivots, which pays off when each objective
-        gets a hint of its own."""
-        cols: list[int] = []
-        seen = set()
-        for j in columns:
-            if not isinstance(j, int) or not 0 <= j < self.n:
-                raise ValueError(f"hint column {j!r} out of range")
-            if j not in seen:
-                seen.add(j)
-                cols.append(j)
-        self._hint = tuple(cols)
 
     @property
     def phase1_done(self) -> bool:
@@ -105,8 +78,8 @@ class ExactSimplex:
         return self._state is not None
 
     def prepare(self) -> None:
-        """Run phase 1 now (a no-op once it has run), so that a hint aimed
-        at feasibility steers it before any objective hints replace it."""
+        """Run phase 1 now (a no-op once it has run), so that its cost is
+        paid apart from the first objective's."""
         self._phase1()
 
     # -- phase 1 -----------------------------------------------------------
@@ -114,14 +87,6 @@ class ExactSimplex:
     def _phase1(self) -> tuple[list[list[int]], list[int], list[int]]:
         if self._state is None:
             n, m = self.n, self.m
-            # a hint well under the full width is worth a narrow first try:
-            # phase 1 drags every column through every pivot, and columns
-            # outside a trusted basis guess are dead weight it can rebuild
-            # afterwards for the cost of a couple of pivots
-            if self._hint and 2 * len(self._hint) <= n:
-                if self._phase1_restricted(list(self._hint)):
-                    M, divs, basis = self._state
-                    return [row[:] for row in M], divs[:], basis[:]
             width = n + m + 1
             M: list[list[int]] = []
             for i, row in enumerate(self.rows):
@@ -134,7 +99,7 @@ class ExactSimplex:
             # objective row for maximizing -(sum of artificials)
             M.append([-sum(M[i][j] for i in range(m)) for j in range(width)])
             divs.append(1)
-            self._optimize(M, divs, basis, stop_at_zero=True, prefer=self._hint)
+            self._optimize(M, divs, basis, stop_at_zero=True)
             if M[m][width - 1] != 0:
                 raise RuntimeError("program is infeasible")
             M.pop()
@@ -143,91 +108,19 @@ class ExactSimplex:
         M, divs, basis = self._state
         return [row[:] for row in M], divs[:], basis[:]
 
-    def _phase1_restricted(self, cols: list[int]) -> bool:
-        """Seek a feasible basis inside the hint columns alone, then rebuild
-        the full-width tableau at that basis.  The artificial block of each
-        row is the basis inverse on that row's divisor scale, so a left-out
-        column of the constraint matrix re-enters the tableau as one exact
-        dot product against it.  Returns False (and leaves no state) when
-        feasibility needs columns the hint left out, and the ordinary full
-        search takes over from scratch."""
-        n, m = self.n, self.m
-        w = len(cols)
-        M: list[list[int]] = []
-        for i, row in enumerate(self.rows):
-            flip = -1 if self.rhs[i] < 0 else 1
-            art = [0] * m
-            art[i] = flip
-            M.append([flip * row[j] for j in cols] + art + [flip * self.rhs[i]])
-        divs = [1] * m
-        basis = [w + i for i in range(m)]
-        M.append([-sum(M[i][j] for i in range(m)) for j in range(w + m + 1)])
-        divs.append(1)
-        self._optimize(
-            M, divs, basis, stop_at_zero=True, prefer=tuple(range(w)), enterable=w
-        )
-        if M[m][w + m] != 0:
-            return False
-        M.pop()
-        divs.pop()
-        pos = {j: t for t, j in enumerate(cols)}
-        missing = [j for j in range(n) if j not in pos]
-        # per missing column, the nonzero constraint entries split by sign;
-        # for an all-unit column the short side plus the row total is enough
-        plan = []
-        for j in missing:
-            up, dn, gen = [], [], []
-            for t in range(m):
-                v = self.rows[t][j]
-                if v == 1:
-                    up.append(t)
-                elif v == -1:
-                    dn.append(t)
-                elif v:
-                    gen.append((t, v))
-            plan.append((j, up, dn, gen))
-        full: list[list[int]] = []
-        for i in range(m):
-            row = M[i]
-            art = row[w : w + m]
-            tot = sum(art)
-            vals = [0] * n
-            for j, t in pos.items():
-                vals[j] = row[t]
-            for j, up, dn, gen in plan:
-                if not gen and len(up) + len(dn) == m:
-                    if len(dn) <= len(up):
-                        s = tot - 2 * sum(art[t] for t in dn)
-                    else:
-                        s = 2 * sum(art[t] for t in up) - tot
-                else:
-                    s = sum(art[t] for t in up) - sum(art[t] for t in dn)
-                    for t, v in gen:
-                        s += v * art[t]
-                vals[j] = s
-            full.append(vals + art + [row[w + m]])
-        basis = [cols[b] if b < w else n + (b - w) for b in basis]
-        self._state = (full, divs, basis)
-        return True
-
     # -- core loop ----------------------------------------------------------
 
-    def _optimize(
-        self, M, divs, basis, stop_at_zero=False, prefer=(), enterable=None
-    ) -> None:
+    def _optimize(self, M, divs, basis, stop_at_zero=False) -> None:
         """Pivot until the objective row (last row of M) is optimal.
         `stop_at_zero` ends as soon as the objective cell reaches zero
-        (phase 1 stops at feasibility).  Entering columns listed in
-        `prefer` are scanned first and win whenever one improves.
-        `enterable` is where the artificial block starts in this layout
-        (defaults to the full column count); nothing at or past it enters.
+        (phase 1 stops at feasibility).  Nothing in the artificial block
+        enters.
 
         Works for every tableau layout used here: the right-hand side is
         always the last column, and the anchor never needs an artificial
         column because the contact guard keeps artificial-basic rows out
         of ordinary ratio ties."""
-        m = self.m
-        n = self.n if enterable is None else enterable
+        m, n = self.m, self.n
         rhs = len(M[0]) - 1
         lexcols = tuple(b for b in basis if b < rhs)
         while True:
@@ -236,17 +129,11 @@ class ExactSimplex:
                 break
             col = None
             worst = 0
-            for j in prefer:
+            for j in range(n):
                 v = obj[j]
                 if v < worst:
                     worst = v
                     col = j
-            if col is None:
-                for j in range(n):
-                    v = obj[j]
-                    if v < worst:
-                        worst = v
-                        col = j
             if col is None:
                 break
             row = None
@@ -330,7 +217,7 @@ class ExactSimplex:
         M.append(obj)
         divs.append(L)
         _reduce_row(M, divs, m)
-        self._optimize(M, divs, basis, prefer=self._hint)
+        self._optimize(M, divs, basis)
         x = [Fraction(0)] * n
         for i in range(m):
             if basis[i] < n:

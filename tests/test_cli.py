@@ -45,6 +45,33 @@ class TestExitCodes:
         assert "--full" in err
 
 
+class TestInputBounds:
+    @pytest.mark.parametrize("bits", ["0", "-3"])
+    def test_precision_bits_below_one_is_usage_error(self, capsys, bits):
+        code, out, err = invoke(
+            capsys, "bound", "--kind", "haagerup", "--p", "4", "--precision-bits", bits
+        )
+        assert code == 2
+        assert out == ""
+        assert "usage:" in err and "--precision-bits" in err
+
+    @pytest.mark.parametrize("command", ["sample", "estimate"])
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_samples_below_one_is_usage_error(self, capsys, command, samples):
+        argv = [command, "--kind", "partition", "--n", "4", "--samples", samples]
+        if command == "estimate":
+            argv += ["--p", "4"]
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "usage:" in err and "--samples" in err
+
+    def test_reduced_flag_is_gone(self, capsys):
+        code, _, err = invoke(capsys, "constant", "--n", "4", "--p", "4", "--k", "2", "--reduced")
+        assert code == 2
+        assert "--reduced" in err
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",
@@ -223,6 +250,27 @@ class TestTable:
                 assert hi <= float(r["sharp"]) + 1e-12
             if r["interpolation"] is not None:
                 assert r["k"] % 2 == 0 and Fraction(r["p"]) >= r["k"]
+
+    def test_haagerup_once_per_exponent(self, capsys, monkeypatch):
+        import kwise.cli as cli
+        from kwise.bounds import haagerup_constant
+
+        argv = ("table", "--n", "4,6,8", "--p", "2,4,7/2", "--k", "2,3")
+        _, plain, _ = invoke(capsys, *argv)
+        calls = []
+
+        def counted(p, *rest):
+            calls.append(p)
+            return haagerup_constant(p, *rest)
+
+        monkeypatch.setattr(cli, "haagerup_constant", counted)
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 0
+        assert out == plain
+        assert sorted(calls) == [Fraction(2), Fraction(7, 2), Fraction(4)]
+        for r in json.loads(out):
+            lo = haagerup_constant(Fraction(r["p"])).decimal_bounds(40)[0]
+            assert r["haagerup"] == lo
 
     def test_k_above_n_skipped(self, capsys):
         code, out, _ = invoke(capsys, "table", "--n", "2", "--p", "2", "--k", "2,3")

@@ -11,7 +11,6 @@ from kwise.constructions import independent_space, partition_space
 from kwise.core import SampleSpace, WeightProfile, expand
 from kwise.extremal import (
     LpSolution,
-    _float_hint,
     equality_support_check,
     full_constraint_labels,
     parity_class_coefficient,
@@ -254,33 +253,84 @@ class TestFullProgram:
         assert certified.optimal_value == sol.optimal_value
 
 
-class TestFloatHint:
-    def test_hint_is_valid_or_absent(self):
-        objective = [abs(2 * x.bit_count() - 4) ** 4 for x in range(16)]
-        hint = _float_hint(4, 2, objective)
-        if hint is not None:
-            support, face = hint
-            assert support
-            combined = support + face
-            assert all(0 <= j < 16 for j in combined)
-            assert len(set(combined)) == len(combined)
+class TestFlipSymmetry:
+    CASES = ((4, 4, 2), (5, 3, 3), (6, 6, 4), (5, Fraction(7, 2), 2))
 
-    def test_interval_objective_accepted(self):
-        prog = reduced_lp(4, Fraction(5, 2), 2)
-        objective = [
-            prog.objective[x.bit_count()] for x in range(16)
-        ]  # reuse per-weight intervals atomwise
-        hint = _float_hint(4, 2, objective)
-        assert hint is None or all(0 <= j < 16 for j in hint[0] + hint[1])
+    def test_optimizer_is_flip_symmetric(self):
+        a = Weights((1, 2, 3, Fraction(1, 2), Fraction(3, 2)))
+        sols = [solve_full(n, p, k) for n, p, k in self.CASES]
+        sols.append(solve_full(5, 5, 3, a=a))
+        for sol in sols:
+            flip = (1 << sol.n) - 1
+            masses = sol.optimizer.masses
+            assert masses
+            for x, q in masses.items():
+                assert masses.get(x ^ flip) == q, (sol.n, sol.k, x)
 
-    def test_probe_support_is_small_and_valid(self):
-        from kwise.extremal import _probe_hint
+    def test_threewise_equals_pairwise_on_full_route(self):
+        # criterion 04 on the unreduced program: the k = 3 rows reduce to
+        # the k = 2 rows, so the optima coincide for even n
+        for n in (4, 6, 8):
+            for p in (4, 6):
+                v3 = solve_full(n, p, 3).optimal_value
+                v2 = solve_full(n, p, 2).optimal_value
+                assert v3 == v2 == Fraction(n) ** (p - 1), (n, p)
 
-        probe = _probe_hint(4, 4, [abs(2 * x.bit_count() - 4) for x in range(16)])
-        if probe is not None:
-            assert probe
-            assert all(0 <= j < 16 for j in probe)
-            assert len(set(probe)) == len(probe)
+    def test_dual_is_full_length_with_zero_odd_entries(self):
+        for n, p, k in self.CASES + ((3, 4, 1),):
+            sol = solve_full(n, p, k)
+            labels = full_constraint_labels(n, k)
+            assert len(sol.dual) == len(labels)
+            for label, y in zip(labels, sol.dual):
+                if len(label) % 2:
+                    assert y == 0, (n, k, label)
+            assert sol.certificate_ok is True
+
+    def test_same_answer_with_scipy_blocked(self):
+        import json
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        from kwise import extremal
+
+        src = str(Path(extremal.__file__).resolve().parents[1])
+        script = (
+            "import sys, json\n"
+            "sys.modules['scipy'] = None\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "from kwise.extremal import solve_full\n"
+            "print(json.dumps(solve_full(6, 5, 3).to_json()))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True
+        ).stdout
+        # a solver resumes from its last basis, so start this one fresh too
+        extremal._flip_solver.cache_clear()
+        here = solve_full(6, 5, 3).to_json()
+        assert json.loads(out) == here
+
+    def test_perturbed_mass_fails_the_full_certificate(self, monkeypatch):
+        # moving mass from x to ~x keeps every row of the flip-symmetric
+        # program; only the unreduced odd-size rows can catch it
+        from kwise import extremal
+
+        real = extremal.verify_certificate
+        seen = []
+
+        def perturbed(rows, rhs, c, x, y):
+            seen.append((len(rows), len(x), len(y)))
+            x = list(x)
+            atom = next(b for b, q in enumerate(x) if q)
+            x[atom] -= x[atom] / 2
+            x[atom ^ 0b11111] += x[atom]
+            return real(rows, rhs, c, x, y)
+
+        assert solve_full(5, 4, 3).certificate_ok is True
+        monkeypatch.setattr(extremal, "verify_certificate", perturbed)
+        assert solve_full(5, 4, 3).certificate_ok is False
+        width = len(full_constraint_labels(5, 3))
+        assert seen == [(width, 32, width)]
 
 
 class TestEqualitySupport:

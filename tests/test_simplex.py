@@ -229,38 +229,12 @@ def test_results_are_fractions():
     assert res.value == Fraction(7, 3)
 
 
-def test_hint_biases_but_never_changes_the_answer():
-    rows = [[1, 1, 1, 1], [1, 2, 0, 1]]
-    rhs = [3, 4]
-    c = [Fraction(2), Fraction(1), Fraction(3), Fraction(1)]
-    plain = ExactSimplex(rows, rhs).maximize(c)
-    for hint in ([2], [3, 1], [0, 1, 2, 3], []):
-        hinted = ExactSimplex(rows, rhs, hint=hint).maximize(c)
-        assert hinted.value == plain.value
-        assert verify_certificate(rows, rhs, c, hinted.x, hinted.y)
-
-
-def test_hint_validation_and_lifecycle():
+def test_prepare_runs_phase1_once():
     solver = ExactSimplex([[1, 1]], [1])
-    with pytest.raises(ValueError, match="out of range"):
-        solver.set_hint([2])
-    with pytest.raises(ValueError, match="out of range"):
-        solver.set_hint([-1])
     assert not solver.phase1_done
     solver.prepare()
     assert solver.phase1_done
     solver.prepare()  # second call is a no-op
-    solver.maximize([Fraction(1), Fraction(0)])
-    solver.set_hint([0])  # re-aims later pivots; the answer must not move
+    assert solver.maximize([Fraction(1), Fraction(0)]).value == 1
     res = solver.maximize([Fraction(0), Fraction(1)])
     assert res.value == 1
-
-
-def test_misleading_hint_still_solved_exactly():
-    # hint names the worst column; the global fallback must still win
-    rows = [[1, 1, 1]]
-    rhs = [1]
-    c = [Fraction(0), Fraction(0), Fraction(5)]
-    res = ExactSimplex(rows, rhs, hint=[0, 1]).maximize(c)
-    assert res.value == 5
-    assert res.x[2] == 1
