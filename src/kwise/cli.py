@@ -114,12 +114,12 @@ def _emit(data, fmt: str) -> None:
 
 def _cmd_construct(args) -> dict:
     space = CONSTRUCTIONS[args.construct](args.n)
-    return json.loads(space.to_json())
+    return space.to_json()
 
 
 def _cmd_verify(args) -> dict:
     space = CONSTRUCTIONS[args.construct](args.n)
-    return json.loads(check_kwise(space, args.k).to_json())
+    return check_kwise(space, args.k).to_json()
 
 
 def _cmd_moment(args) -> dict:
@@ -154,8 +154,6 @@ def _cmd_bound(args) -> dict:
 def _cmd_constant(args) -> dict:
     prec = args.precision_bits
     if args.full:
-        if args.a is not None and args.a.n != args.n:
-            raise ValueError(f"weight vector has dimension {args.a.n}, expected {args.n}")
         sol = solve_full(args.n, args.p, args.k, a=args.a, prec=prec)
         a = args.a if args.a is not None else Weights.all_ones(args.n)
         l2sq = a.l2sq
@@ -170,7 +168,7 @@ def _cmd_constant(args) -> dict:
     out = {
         "value": _value_json(sol.optimal_value, prec),
         "ratio": {"lo": lo, "hi": hi},
-        "optimizer": json.loads(sol.optimizer.to_json()),
+        "optimizer": sol.optimizer.to_json(),
         "unique": sol.unique,
         "certificate_ok": sol.certificate_ok,
     }

@@ -6,7 +6,6 @@ order so that serialization and equality are deterministic.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -138,16 +137,15 @@ class SampleSpace:
     def __repr__(self) -> str:
         return f"SampleSpace(n={self.n}, atoms={self.support_size})"
 
-    def to_json(self) -> str:
+    def to_json(self) -> dict:
         atoms = [
             {"signs": str(SignVector(self.n, bits)), "prob": _frac_str(p)}
             for bits, p in self.masses.items()
         ]
-        return json.dumps({"n": self.n, "atoms": atoms})
+        return {"n": self.n, "atoms": atoms}
 
     @classmethod
-    def from_json(cls, text: str) -> "SampleSpace":
-        data = json.loads(text)
+    def from_json(cls, data: dict) -> "SampleSpace":
         n = data["n"]
         atoms = [
             (SignVector.from_string(a["signs"]).bits, Fraction(a["prob"]))
@@ -177,12 +175,11 @@ class WeightProfile:
         if sum(self.q, Fraction(0)) != 1:
             raise ValueError("weight-class masses must sum to exactly 1")
 
-    def to_json(self) -> str:
-        return json.dumps({"n": self.n, "q": [_frac_str(p) for p in self.q]})
+    def to_json(self) -> dict:
+        return {"n": self.n, "q": [_frac_str(p) for p in self.q]}
 
     @classmethod
-    def from_json(cls, text: str) -> "WeightProfile":
-        data = json.loads(text)
+    def from_json(cls, data: dict) -> "WeightProfile":
         return cls(data["n"], tuple(Fraction(s) for s in data["q"]))
 
 

@@ -21,7 +21,7 @@ from .core import SampleSpace, SignVector, WeightProfile, _frac_str
 from .independence import check_kwise
 from .intervals import DEFAULT_PREC, Interval, rational_power
 from .moments import Weights
-from .simplex import ExactSimplex, verify_certificate
+from .simplex import ExactSimplex, reduced_costs, verify_certificate
 
 MAX_REDUCED_DIMENSION = 10_000
 MAX_FULL_DIMENSION = 12
@@ -117,15 +117,16 @@ class LpSolution:
     """Outcome of one extremal program.
 
     `optimal_value` is a Fraction on the exact path and an Interval when the
-    exponent is not an integer (three solver passes: rounded-down, midpoint,
-    rounded-up coefficients; the optimizer and dual come from the midpoint
-    pass and carry no exactness claim there).  `dual` certifies optimality
-    via `simplex.verify_certificate`, which `certificate_ok` records; a run
-    with `certify=False` skips the check (`certificate_ok` is None) and on
-    the wide unreduced programs also drops the dual, which dominates the
-    cost there, leaving `dual` None.  On the unreduced route the dual is
-    aligned with `full_constraint_labels` and is 0 on every odd-size label,
-    since the solve runs on the flip-symmetric program.
+    exponent is not an integer: one solve at the midpoint coefficients, whose
+    optimizer and dual carry no exactness claim, enclosed by weak duality
+    (see `_solve`).  `dual` certifies optimality via
+    `simplex.verify_certificate`, which `certificate_ok` records;
+    `certify=False` skips the check (`certificate_ok` is None).  `dual` is
+    None exactly when `solve_full` runs with `certify=False` and an integer
+    exponent, where dropping it cuts the cost of the wide programs.  On the
+    unreduced route the dual is aligned with `full_constraint_labels` and is
+    0 on every odd-size label, since the solve runs on the flip-symmetric
+    program.
     """
 
     kind: str
@@ -167,36 +168,33 @@ def _reduced_solver(n: int, k: int) -> ExactSimplex:
     return ExactSimplex([list(r) for r in rows], list(rhs))
 
 
-def _solve_three_ways(solver, objective, certify, need_dual=True, check=None):
-    """One exact pass for Fraction coefficients, three directed passes for
-    Interval coefficients.  Returns (value, x, dual, certificate_ok).
+def _solve(solver, objective, certify, need_dual=True, check=None):
+    """One solver pass and at most one certificate check.  Returns
+    (value, x, dual, certificate_ok).
 
-    `check(c, x, y)` decides each pass's certificate; by default it is the
-    solver's own program."""
+    Interval coefficients are solved once, at their midpoints.  With x and y
+    the midpoint optimizer and dual, the value is the weak-duality enclosure
+    [c_lo.x, b.y + max(0, max_j (c_hi - A^T y)_j)].  Invariant: row 0 of
+    every program solved here is the all-ones normalization row with
+    right-hand side 1, so raising y_0 by the shift makes any y dual-feasible
+    for c_hi.  `check(c, x, y)` decides the certificate; by default it is
+    checked on the solver's own program."""
     if check is None:
         def check(c, x, y):
             return verify_certificate(solver.rows, solver.rhs, c, x, y)
-    need_dual = need_dual or certify
-    if not any(isinstance(v, Interval) for v in objective):
+    if not isinstance(objective[0], Interval):
         c = [Fraction(v) for v in objective]
-        res = solver.maximize(c, need_dual=need_dual)
+        res = solver.maximize(c, need_dual=need_dual or certify)
         ok = check(c, res.x, res.y) if certify else None
         return res.value, res.x, res.y, ok
-    lo = [v.lo if isinstance(v, Interval) else Fraction(v) for v in objective]
-    hi = [v.hi if isinstance(v, Interval) else Fraction(v) for v in objective]
-    mid = [(a + b) / 2 for a, b in zip(lo, hi)]
-    res_lo = solver.maximize(lo, need_dual=need_dual)
-    res_hi = solver.maximize(hi, need_dual=need_dual)
-    res_mid = solver.maximize(mid, need_dual=need_dual)
-    ok = None
-    if certify:
-        ok = (
-            check(lo, res_lo.x, res_lo.y)
-            and check(hi, res_hi.x, res_hi.y)
-            and check(mid, res_mid.x, res_mid.y)
-        )
-    value = Interval(res_lo.value, res_hi.value)
-    return value, res_mid.x, res_mid.y, ok
+    mid = [v.midpoint for v in objective]
+    res = solver.maximize(mid)
+    ok = check(mid, res.x, res.y) if certify else None
+    lo = sum((v.lo * xj for v, xj in zip(objective, res.x) if xj), Fraction(0))
+    slack, den = reduced_costs(solver.rows, res.y, [v.hi for v in objective])
+    by = sum((yi * b for yi, b in zip(res.y, solver.rhs) if yi), Fraction(0))
+    value = Interval(lo, by + Fraction(max(0, -min(slack)), den))
+    return value, res.x, res.y, ok
 
 
 def solve_reduced(
@@ -214,7 +212,7 @@ def solve_reduced(
     is filled in (integer p only)."""
     program = reduced_lp(n, p, k, prec)
     solver = _reduced_solver(n, k)
-    value, x, dual, cert_ok = _solve_three_ways(solver, program.objective, certify)
+    value, x, dual, cert_ok = _solve(solver, program.objective, certify)
     sol = LpSolution(
         kind="reduced",
         n=n,
@@ -297,7 +295,8 @@ def solve_full(
     {x, ~x}, even-size rows only; k = 2j + 1 shares the k = 2j solver) and
     splits each pair's mass evenly between x and ~x.  The dual gets zeros on
     the odd-size rows, and the certificate is checked against the unreduced
-    rows."""
+    rows.  The two programs share their optimum, so the weak-duality end of
+    a fractional-p enclosure is taken on the flip-symmetric one."""
     pf = _validate(n, p, k, MAX_FULL_DIMENSION)
     if a is None:
         a = Weights.all_ones(n)
@@ -338,7 +337,7 @@ def solve_full(
         rows, rhs, _ = _full_rows(n, k)
         return verify_certificate(rows, rhs, [c[j] for j in pair], expand(q), lift(y))
 
-    value, q, dual, cert_ok = _solve_three_ways(
+    value, q, dual, cert_ok = _solve(
         solver, objective, certify, need_dual=certify, check=check
     )
     masses = {x: v for x, v in enumerate(expand(q)) if v}
@@ -369,10 +368,7 @@ def uniqueness_check(solution: LpSolution, n: int, p, k: int) -> bool:
     program = reduced_lp(n, p, k)
     if len(solution.dual) != len(program.rows):
         raise ValueError("solution does not match the stated program")
-    slack = []
-    for j in range(n + 1):
-        s = sum(yi * row[j] for yi, row in zip(solution.dual, program.rows))
-        slack.append(s - program.objective[j])
+    slack, _ = reduced_costs(program.rows, solution.dual, program.objective)
     if any(s < 0 for s in slack):
         raise ValueError("dual vector is not feasible for the stated program")
     support = [j for j, s in enumerate(slack) if s == 0]

@@ -7,13 +7,12 @@ them against each other.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional
 
-from .core import SampleSpace, project_marginal
+from .core import SampleSpace, _frac_str, project_marginal
 
 
 @dataclass(frozen=True, slots=True)
@@ -31,13 +30,13 @@ class IndependenceReport:
     def passed(self) -> bool:
         return self.witness is None
 
-    def to_json(self) -> str:
+    def to_json(self) -> dict:
         if self.witness is None:
             wit = None
         else:
             coords, value = self.witness
-            wit = {"T": list(coords), "coefficient": f"{value.numerator}/{value.denominator}"}
-        return json.dumps({"k_verified": self.k_verified, "witness": wit})
+            wit = {"T": list(coords), "coefficient": _frac_str(value)}
+        return {"k_verified": self.k_verified, "witness": wit}
 
 
 def fourier_coefficient(space: SampleSpace, coords: Iterable[int]) -> Fraction:

@@ -72,33 +72,25 @@ def ratio_from_moment(value: Value, p, l2sq: Fraction,
                       prec: int = DEFAULT_PREC) -> Interval:
     """Enclosure of value^(1/p) / sqrt(l2sq).
 
-    For exact rational moments the ratio is a single rational root
-    (ratio^(2u) = value^(2v) / l2sq^u for p = u/v), which collapses to a point
-    whenever the ratio itself is rational.
+    An exact rational moment is the point interval on it, so the ratio is a
+    single rational root (ratio^(2u) = value^(2v) / l2sq^u for p = u/v),
+    which collapses to a point whenever the ratio itself is rational.
     """
     p = _check_p(p)
     if l2sq <= 0:
         raise ValueError("l2sq must be positive")
     u, v = p.numerator, p.denominator
-    if isinstance(value, Interval):
-        if value.lo < 0:
-            raise ValueError("moment enclosure reaches below 0")
-        if max(u, v) > 64 and value.lo > 0:
-            t = log_interval(value, prec + 32) * Fraction(v, u) \
-                - log_interval(l2sq, prec + 32) / 2
-            return exp_interval(t, prec)
-        radicand = value.pow_int(2 * v) / Interval.point(l2sq).pow_int(u)
-        return radicand.nth_root(2 * u, prec)
-    if value < 0:
+    if not isinstance(value, Interval):
+        value = Interval.point(value)
+    if value.lo < 0:
         raise ValueError("moments of |sum| cannot be negative")
-    if value == 0:
-        return Interval.point(0)
-    if max(u, v) > 64:
+    if max(u, v) > 64 and value.lo > 0:
         # keep radicand sizes sane for extreme rational orders
         t = log_interval(value, prec + 32) * Fraction(v, u) \
             - log_interval(l2sq, prec + 32) / 2
         return exp_interval(t, prec)
-    return nth_root(value ** (2 * v) / l2sq**u, 2 * u, prec)
+    radicand = value.pow_int(2 * v) / Interval.point(l2sq).pow_int(u)
+    return radicand.nth_root(2 * u, prec)
 
 
 def pth_moment(space: SampleSpace, weights: Weights, p,

@@ -25,8 +25,9 @@ are at most m removals in total.  An artificial basic at zero at the end is
 harmless: its constraint holds, its dual weight reads as zero, and consistent
 dependent constraint rows are accepted instead of rejected.
 
-`verify_certificate` re-checks any claimed optimum from scratch with plain
-Fraction arithmetic; it shares no state or code with the pivot loop.
+`verify_certificate` re-checks any claimed optimum from scratch in exact
+arithmetic; it shares no state or code with the pivot loop.  Its dual half,
+`reduced_costs`, also serves the callers that need A^T y - c themselves.
 """
 from __future__ import annotations
 
@@ -294,35 +295,43 @@ def _reduce_row(M: list[list[int]], divs: list[int], i: int) -> None:
         divs[i] //= g
 
 
+def reduced_costs(rows, y, c) -> tuple[list[int], int]:
+    """A^T y - c for integer constraint rows, accumulated in plain ints over
+    one common denominator: returns (num, den) with den > 0 and
+    (A^T y - c)_j = num[j] / den."""
+    den = lcm(*(v.denominator for v in y), *(v.denominator for v in c))
+    num = [-v.numerator * (den // v.denominator) for v in c]
+    for yi, row in zip(y, rows):
+        if yi:
+            w = yi.numerator * (den // yi.denominator)
+            num = [a + w * v for a, v in zip(num, row)]
+    return num, den
+
+
 def verify_certificate(rows, rhs, c, x, y, maximize: bool = True) -> bool:
     """Exact optimality certificate: primal feasibility, dual feasibility,
-    complementary slackness, and matching objective values."""
+    complementary slackness, and matching objective values.  Both halves
+    work on integer data over one common denominator."""
     m, n = len(rows), len(c)
     if len(x) != n or len(y) != m or len(rhs) != m:
         return False
     if any(v < 0 for v in x):
         return False
+    support = [j for j, v in enumerate(x) if v]
+    xden = lcm(*(x[j].denominator for j in support))
+    xnum = [(j, x[j].numerator * (xden // x[j].denominator)) for j in support]
     for row, b in zip(rows, rhs):
-        if sum((xi * a for xi, a in zip(x, row) if xi), Fraction(0)) != b:
+        if sum(row[j] * v for j, v in xnum) != b * xden:
             return False
-    # A^T y with a common denominator keeps the accumulation in plain ints
-    # when the constraint data is integer, which it is for every program here.
-    yf = [Fraction(v) for v in y]
-    den = lcm(*(v.denominator for v in yf)) if yf else 1
-    ynum = [int(v * den) for v in yf]
-    acc = [0] * n
-    for vi, row in zip(ynum, rows):
-        if vi:
-            acc = [a + vi * v for a, v in zip(acc, row)]
-    slack = [Fraction(a, den) - cj for a, cj in zip(acc, c)]
+    slack, _ = reduced_costs(rows, y, c)
     if maximize:
         if any(s < 0 for s in slack):
             return False
     else:
         if any(s > 0 for s in slack):
             return False
-    if any(s != 0 for s, xi in zip(slack, x) if xi):
+    if any(slack[j] for j in support):
         return False
-    primal = sum((ci * xi for ci, xi in zip(c, x) if xi), Fraction(0))
+    primal = sum((c[j] * x[j] for j in support), Fraction(0))
     dual = sum((yi * b for yi, b in zip(y, rhs) if yi), Fraction(0))
     return primal == dual

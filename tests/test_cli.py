@@ -200,6 +200,14 @@ class TestConstant:
         # moment is the plain average (|1+2|^4 + |1-2|^4 + ...) / 4
         assert Fraction(data["value"]) == Fraction(41)
 
+    def test_full_weight_dimension_mismatch_is_1(self, capsys):
+        code, out, err = invoke(
+            capsys, "constant", "--n", "3", "--p", "4", "--k", "2", "--full", "--a", "1,2"
+        )
+        assert code == 1
+        assert out == ""
+        assert "weight vector has dimension" in err
+
     def test_odd_dimension_note(self, capsys):
         code, out, _ = invoke(capsys, "constant", "--n", "5", "--p", "4", "--k", "2")
         data = json.loads(out)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kwise import extremal
 from kwise.constructions import independent_space, partition_space
 from kwise.core import SampleSpace, WeightProfile, expand
 from kwise.extremal import (
@@ -20,8 +21,9 @@ from kwise.extremal import (
     solve_reduced,
     uniqueness_check,
 )
-from kwise.intervals import Interval
+from kwise.intervals import Interval, rational_power
 from kwise.moments import Weights, pth_moment
+from kwise.simplex import ExactSimplex
 
 
 def brute_class_average(n: int, j: int, m: int) -> Fraction:
@@ -333,6 +335,61 @@ class TestFlipSymmetry:
         assert seen == [(width, 32, width)]
 
 
+class TestIntervalEnclosure:
+    """Fractional exponents: one midpoint solve, enclosed by weak duality."""
+
+    A7 = Weights((1, 2, 3, Fraction(1, 2), Fraction(3, 2), 1, Fraction(2, 3)))
+
+    def endpoint_optima(self, rows, rhs, objective):
+        """OPT of the rounded-down and rounded-up objectives, solved apart."""
+        solver = ExactSimplex([list(r) for r in rows], list(rhs))
+        lo = solver.maximize([v.lo for v in objective]).value
+        hi = solver.maximize([v.hi for v in objective]).value
+        return lo, hi
+
+    def assert_encloses(self, sol, lo, hi):
+        iv = sol.optimal_value
+        assert isinstance(iv, Interval)
+        assert iv.lo <= lo <= hi <= iv.hi
+        assert iv.width < iv.lo / 2**100
+        assert sol.certificate_ok is True
+
+    def test_reduced_enclosure_contains_endpoint_optima(self):
+        prog = reduced_lp(64, Fraction(7, 2), 2)
+        lo, hi = self.endpoint_optima(prog.rows, prog.rhs, prog.objective)
+        self.assert_encloses(solve_reduced(64, Fraction(7, 2), 2), lo, hi)
+
+    def test_full_enclosure_contains_endpoint_optima(self):
+        # the endpoint optima come from the unreduced program, all 2^n atoms
+        for n, p, k, a in ((6, Fraction(5, 2), 2, None), (7, Fraction(7, 2), 3, self.A7)):
+            rows, rhs, _ = extremal._full_rows(n, k)
+            w = a or Weights.all_ones(n)
+            obj = [rational_power(abs(w.dot_bits(x)), p) for x in range(1 << n)]
+            lo, hi = self.endpoint_optima(rows, rhs, obj)
+            self.assert_encloses(solve_full(n, p, k, a=a), lo, hi)
+
+    def test_one_pass_and_one_check(self, monkeypatch):
+        calls = {"maximize": 0, "certify": 0}
+        maximize = ExactSimplex.maximize
+        verify = extremal.verify_certificate
+
+        def counted_maximize(self, *args, **kwargs):
+            calls["maximize"] += 1
+            return maximize(self, *args, **kwargs)
+
+        def counted_verify(*args, **kwargs):
+            calls["certify"] += 1
+            return verify(*args, **kwargs)
+
+        monkeypatch.setattr(ExactSimplex, "maximize", counted_maximize)
+        monkeypatch.setattr(extremal, "verify_certificate", counted_verify)
+        for solve in (lambda: solve_reduced(10, Fraction(7, 2), 3),
+                      lambda: solve_full(5, Fraction(5, 2), 3)):
+            calls.update(maximize=0, certify=0)
+            assert solve().certificate_ok is True
+            assert calls == {"maximize": 1, "certify": 1}
+
+
 class TestEqualitySupport:
     def test_partition_achieves_equality(self):
         for n in (2, 4, 6, 8):
@@ -406,3 +463,10 @@ class TestSolutionJson:
         sol = solve_reduced(4, Fraction(5, 2), 2)
         data = sol.to_json()
         assert set(data["value"]) == {"lo", "hi", "bits"}
+
+    def test_optimizer_is_a_dict(self):
+        assert solve_reduced(4, 4, 2).to_json()["optimizer"] == {
+            "n": 4, "q": ["1/8", "0/1", "3/4", "0/1", "1/8"]}
+        optimizer = solve_full(3, 4, 2).to_json()["optimizer"]
+        assert isinstance(optimizer, dict)
+        assert SampleSpace.from_json(optimizer) == solve_full(3, 4, 2).optimizer

@@ -81,12 +81,10 @@ def test_xor_space_is_pairwise_not_fourwise():
 
 def test_report_json_shape():
     report = check_kwise(partition_space(4), 4)
-    import json
-
-    data = json.loads(report.to_json())
+    data = report.to_json()
     assert data["k_verified"] == 3
     assert sorted(data["witness"]) == ["T", "coefficient"]
-    clean = json.loads(check_kwise(uniform_cube(2), 2).to_json())
+    clean = check_kwise(uniform_cube(2), 2).to_json()
     assert clean["witness"] is None
 
 

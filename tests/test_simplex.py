@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from kwise.simplex import ExactSimplex, verify_certificate
+from kwise.simplex import ExactSimplex, reduced_costs, verify_certificate
 
 
 def test_probability_simplex_picks_best_coefficient():
@@ -219,6 +219,29 @@ def test_certificate_rejects_wrong_claims():
     # dual claim that is not dominating
     bad_y = (Fraction(3),)
     assert not verify_certificate(rows, rhs, c, res.x, bad_y)
+
+
+def test_certificate_rejects_infeasible_nonnegative_point():
+    # every reduced cost is zero and c.x equals b.y, so only the row check
+    # can see that (1, 0) breaks the second constraint
+    rows = [[1, 1], [1, -1]]
+    rhs = [1, 0]
+    c = [Fraction(1), Fraction(1)]
+    res = ExactSimplex(rows, rhs).maximize(c)
+    assert res.x == (Fraction(1, 2), Fraction(1, 2)) and res.y == (1, 0)
+    assert verify_certificate(rows, rhs, c, res.x, res.y)
+    assert not verify_certificate(rows, rhs, c, (Fraction(1), Fraction(0)), res.y)
+
+
+def test_reduced_costs_match_fraction_arithmetic():
+    rows = [[1, 1, 1, 1], [3, -2, 0, 5], [-1, 4, 2, 0]]
+    y = (Fraction(7, 6), Fraction(-2, 9), 3)
+    c = (Fraction(1, 4), 2, Fraction(-5, 3), Fraction(9, 10))
+    num, den = reduced_costs(rows, y, c)
+    assert den > 0
+    want = [sum(Fraction(yi) * row[j] for yi, row in zip(y, rows)) - c[j] for j in range(4)]
+    assert [Fraction(v, den) for v in num] == want
+    assert all(isinstance(v, int) for v in num)
 
 
 def test_results_are_fractions():
