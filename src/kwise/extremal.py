@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 from typing import Optional, Union
 
 from .core import SampleSpace, SignVector, WeightProfile, _frac_str
@@ -119,14 +119,11 @@ class LpSolution:
     `optimal_value` is a Fraction on the exact path and an Interval when the
     exponent is not an integer: one solve at the midpoint coefficients, whose
     optimizer and dual carry no exactness claim, enclosed by weak duality
-    (see `_solve`).  `dual` certifies optimality via
-    `simplex.verify_certificate`, which `certificate_ok` records;
-    `certify=False` skips the check (`certificate_ok` is None).  `dual` is
-    None exactly when `solve_full` runs with `certify=False` and an integer
-    exponent, where dropping it cuts the cost of the wide programs.  On the
-    unreduced route the dual is aligned with `full_constraint_labels` and is
-    0 on every odd-size label, since the solve runs on the flip-symmetric
-    program.
+    (see `_solve`) at `prec` bits.  Every solution is certified: `dual`
+    proves the optimizer optimal via `simplex.verify_certificate`, and
+    `certificate_ok` records the outcome of that check.  On the unreduced
+    route the dual is aligned with `full_constraint_labels` and is 0 on every
+    odd-size label, since the solve runs on the flip-symmetric program.
     """
 
     kind: str
@@ -135,15 +132,16 @@ class LpSolution:
     k: int
     optimal_value: Value
     optimizer: Union[WeightProfile, SampleSpace]
-    dual: Optional[tuple[Fraction, ...]]
-    certificate_ok: Optional[bool]
+    dual: tuple[Fraction, ...]
+    certificate_ok: bool
     unique: Optional[bool] = None
     note: Optional[str] = None
+    prec: int = DEFAULT_PREC
 
     def to_json(self) -> dict:
         if isinstance(self.optimal_value, Interval):
             lo, hi = self.optimal_value.decimal_bounds(40)
-            value = {"lo": lo, "hi": hi, "bits": DEFAULT_PREC}
+            value = {"lo": lo, "hi": hi, "bits": self.prec}
         else:
             value = _frac_str(self.optimal_value)
         out = {
@@ -153,7 +151,7 @@ class LpSolution:
             "k": self.k,
             "value": value,
             "optimizer": self.optimizer.to_json(),
-            "dual": None if self.dual is None else [_frac_str(v) for v in self.dual],
+            "dual": [_frac_str(v) for v in self.dual],
             "unique": self.unique,
             "certificate_ok": self.certificate_ok,
         }
@@ -168,28 +166,23 @@ def _reduced_solver(n: int, k: int) -> ExactSimplex:
     return ExactSimplex([list(r) for r in rows], list(rhs))
 
 
-def _solve(solver, objective, certify, need_dual=True, check=None):
-    """One solver pass and at most one certificate check.  Returns
-    (value, x, dual, certificate_ok).
+def _solve(solver, objective, check):
+    """One solver pass and one certificate check.  Returns
+    (value, x, dual, certificate_ok), where `check(c, x, y)` decides the
+    certificate of x and the dual y for the coefficients c actually solved.
 
     Interval coefficients are solved once, at their midpoints.  With x and y
     the midpoint optimizer and dual, the value is the weak-duality enclosure
     [c_lo.x, b.y + max(0, max_j (c_hi - A^T y)_j)].  Invariant: row 0 of
     every program solved here is the all-ones normalization row with
     right-hand side 1, so raising y_0 by the shift makes any y dual-feasible
-    for c_hi.  `check(c, x, y)` decides the certificate; by default it is
-    checked on the solver's own program."""
-    if check is None:
-        def check(c, x, y):
-            return verify_certificate(solver.rows, solver.rhs, c, x, y)
-    if not isinstance(objective[0], Interval):
-        c = [Fraction(v) for v in objective]
-        res = solver.maximize(c, need_dual=need_dual or certify)
-        ok = check(c, res.x, res.y) if certify else None
+    for c_hi."""
+    exact = not isinstance(objective[0], Interval)
+    c = [Fraction(v) for v in objective] if exact else [v.midpoint for v in objective]
+    res = solver.maximize(c)
+    ok = check(c, res.x, res.y)
+    if exact:
         return res.value, res.x, res.y, ok
-    mid = [v.midpoint for v in objective]
-    res = solver.maximize(mid)
-    ok = check(mid, res.x, res.y) if certify else None
     lo = sum((v.lo * xj for v, xj in zip(objective, res.x) if xj), Fraction(0))
     slack, den = reduced_costs(solver.rows, res.y, [v.hi for v in objective])
     by = sum((yi * b for yi, b in zip(res.y, solver.rhs) if yi), Fraction(0))
@@ -202,7 +195,6 @@ def solve_reduced(
     p,
     k: int,
     prec: int = DEFAULT_PREC,
-    certify: bool = True,
     check_unique: bool = False,
 ) -> LpSolution:
     """Maximize E|sum of signs|^p over exchangeable k-wise independent laws.
@@ -212,7 +204,11 @@ def solve_reduced(
     is filled in (integer p only)."""
     program = reduced_lp(n, p, k, prec)
     solver = _reduced_solver(n, k)
-    value, x, dual, cert_ok = _solve(solver, program.objective, certify)
+    value, x, dual, cert_ok = _solve(
+        solver,
+        program.objective,
+        lambda c, x, y: verify_certificate(program.rows, program.rhs, c, x, y),
+    )
     sol = LpSolution(
         kind="reduced",
         n=n,
@@ -223,6 +219,7 @@ def solve_reduced(
         dual=dual,
         certificate_ok=cert_ok,
         note=ODD_DIMENSION_NOTE if n % 2 else None,
+        prec=prec,
     )
     if check_unique and isinstance(value, Fraction):
         sol.unique = uniqueness_check(sol, n, p, k)
@@ -265,12 +262,25 @@ def full_constraint_labels(n: int, k: int) -> tuple[tuple[int, ...], ...]:
 def _flip_solver(n: int, k: int) -> ExactSimplex:
     """The flip-symmetric program for even k: one column per pair {x, ~x},
     indexed by x - 2^(n-1) for the member x with the top bit set, and the
-    normalization and even-size parity rows only."""
-    cols = range(1 << (n - 1), 1 << n)
-    rows = [_parity_row((), cols)]
-    for size in range(2, k + 1, 2):
-        rows += (_parity_row(t, cols) for t in combinations(range(n), size))
+    normalization and even-size parity rows of `_full_rows` only."""
+    half = 1 << (n - 1)
+    full, _, labels = _full_rows(n, k)
+    rows = [row[half:] for row, t in zip(full, labels) if len(t) % 2 == 0]
     return ExactSimplex(rows, [1] + [0] * (len(rows) - 1))
+
+
+def _signed_sums(a: Weights) -> tuple[list[int], int]:
+    """<a, x> for every sign vector x, as integer numerators over the
+    weights' common denominator: returns (s, den) with <a, x> = s[x] / den.
+    One pass over 2^n: adding x's lowest set bit turns that coordinate's
+    sign from -1 to +1."""
+    den = lcm(*(w.denominator for w in a.a))
+    w = [int(v * den) for v in a.a]
+    s = [-sum(w)] * (1 << a.n)
+    for x in range(1, 1 << a.n):
+        low = x & -x
+        s[x] = s[x ^ low] + 2 * w[low.bit_length() - 1]
+    return s, den
 
 
 def solve_full(
@@ -279,7 +289,6 @@ def solve_full(
     k: int,
     a: Optional[Weights] = None,
     prec: int = DEFAULT_PREC,
-    certify: bool = True,
 ) -> LpSolution:
     """Maximize E|<a, signs>|^p over all k-wise independent laws on sign
     vectors of dimension n, one variable per atom.
@@ -304,7 +313,8 @@ def solve_full(
         raise ValueError(f"weight vector has dimension {a.n}, expected {n}")
     half = 1 << (n - 1)
     flip = (1 << n) - 1
-    dots = [abs(a.dot_bits(x)) for x in range(half, 1 << n)]
+    sums, den = _signed_sums(a)
+    dots = [Fraction(abs(v), den) for v in sums[half:]]
     if pf.denominator == 1:
         e = int(pf)
         objective = [v**e for v in dots]
@@ -320,13 +330,10 @@ def solve_full(
     # the column of atom x: its own pair, whichever member it is
     pair = [(x if x >= half else x ^ flip) - half for x in range(1 << n)]
 
-    def expand(q):
-        return [q[j] / 2 for j in pair]
+    law: list[Fraction] = []
 
     def lift(y):
         """Dual on the unreduced rows: zero on every odd-size label."""
-        if y is None:
-            return None
         even = iter(y)
         return tuple(
             next(even) if len(t) % 2 == 0 else Fraction(0)
@@ -334,13 +341,14 @@ def solve_full(
         )
 
     def check(c, q, y):
+        """Certificate on the unreduced rows; the law it checks, built once
+        over all 2^n atoms, is the one returned."""
+        law[:] = [q[j] / 2 for j in pair]
         rows, rhs, _ = _full_rows(n, k)
-        return verify_certificate(rows, rhs, [c[j] for j in pair], expand(q), lift(y))
+        return verify_certificate(rows, rhs, [c[j] for j in pair], law, lift(y))
 
-    value, q, dual, cert_ok = _solve(
-        solver, objective, certify, need_dual=certify, check=check
-    )
-    masses = {x: v for x, v in enumerate(expand(q)) if v}
+    value, _, dual, cert_ok = _solve(solver, objective, check)
+    masses = {x: v for x, v in enumerate(law) if v}
     return LpSolution(
         kind="full",
         n=n,
@@ -351,6 +359,7 @@ def solve_full(
         dual=lift(dual),
         certificate_ok=cert_ok,
         note=ODD_DIMENSION_NOTE if n % 2 else None,
+        prec=prec,
     )
 
 

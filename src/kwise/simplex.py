@@ -41,8 +41,7 @@ from typing import Sequence
 class SimplexResult:
     value: Fraction
     x: tuple[Fraction, ...]
-    y: tuple[Fraction, ...] | None
-    basis: tuple[int, ...]
+    y: tuple[Fraction, ...]
 
 
 class ExactSimplex:
@@ -71,7 +70,6 @@ class ExactSimplex:
         self.rhs = list(rhs)
         self._state: tuple[list[list[int]], list[int], list[int]] | None = None
         self._warm: tuple[list[list[int]], list[int], list[int]] | None = None
-        self._warm_dual = True
 
     @property
     def phase1_done(self) -> bool:
@@ -115,12 +113,9 @@ class ExactSimplex:
         """Pivot until the objective row (last row of M) is optimal.
         `stop_at_zero` ends as soon as the objective cell reaches zero
         (phase 1 stops at feasibility).  Nothing in the artificial block
-        enters.
-
-        Works for every tableau layout used here: the right-hand side is
-        always the last column, and the anchor never needs an artificial
-        column because the contact guard keeps artificial-basic rows out
-        of ordinary ratio ties."""
+        enters, and the anchor never needs an artificial column because the
+        contact guard keeps artificial-basic rows out of ordinary ratio
+        ties."""
         m, n = self.m, self.n
         rhs = len(M[0]) - 1
         lexcols = tuple(b for b in basis if b < rhs)
@@ -180,27 +175,21 @@ class ExactSimplex:
 
     # -- optimization -------------------------------------------------------
 
-    def maximize(self, c: Sequence, need_dual: bool = True) -> SimplexResult:
+    def maximize(self, c: Sequence) -> SimplexResult:
         """Any feasible basis is a valid simplex start, so each call resumes
-        from the previous call's final basis when one exists (and the same
-        `need_dual` setting); related objectives then need only a few pivots.
-
-        With `need_dual=False` the artificial column block is dropped from
-        the working tableau, which cuts pivot cost on wide programs, but the
-        dual vector cannot be read off afterwards and the result carries
-        `y=None`."""
+        from the previous call's final basis when one exists; related
+        objectives then need only a few pivots.  The dual vector is read off
+        the objective row under the artificial column block."""
         cf = [Fraction(v) for v in c]
         if len(cf) != self.n:
             raise ValueError(f"objective length {len(cf)} != {self.n} columns")
-        if self._warm is not None and self._warm_dual == need_dual:
+        if self._warm is not None:
             M, divs, basis = self._warm
             M, divs, basis = [row[:] for row in M], divs[:], basis[:]
         else:
             M, divs, basis = self._phase1()
-            if not need_dual:
-                M = [row[: self.n] + [row[-1]] for row in M]
         n, m = self.n, self.m
-        last = len(M[0]) - 1
+        last = n + m
         # objective row holds true reduced costs over one divisor: start from
         # -c and add back the basic rows' contributions on one common scale
         den = lcm(*(v.denominator for v in cf)) if cf else 1
@@ -208,7 +197,7 @@ class ExactSimplex:
         for i in range(m):
             if basis[i] < n and cf[basis[i]]:
                 L = lcm(L, divs[i] * cf[basis[i]].denominator)
-        obj = [-(L // den) * int(v * den) for v in cf] + [0] * (last + 1 - n)
+        obj = [-(L // den) * int(v * den) for v in cf] + [0] * (m + 1)
         for i in range(m):
             if basis[i] < n:
                 coef = cf[basis[i]]
@@ -225,18 +214,16 @@ class ExactSimplex:
                 x[basis[i]] = Fraction(M[i][last], divs[i])
         obj = M[m]
         dob = divs[m]
-        y = tuple(Fraction(obj[n + i], dob) for i in range(m)) if need_dual else None
+        y = tuple(Fraction(obj[n + i], dob) for i in range(m))
         value = Fraction(obj[last], dob)
         M.pop()
         divs.pop()
         self._warm = ([row[:] for row in M], divs[:], basis[:])
-        self._warm_dual = need_dual
-        return SimplexResult(value, tuple(x), y, tuple(basis))
+        return SimplexResult(value, tuple(x), y)
 
-    def minimize(self, c: Sequence, need_dual: bool = True) -> SimplexResult:
-        res = self.maximize([-Fraction(v) for v in c], need_dual=need_dual)
-        y = tuple(-v for v in res.y) if res.y is not None else None
-        return SimplexResult(-res.value, res.x, y, res.basis)
+    def minimize(self, c: Sequence) -> SimplexResult:
+        res = self.maximize([-Fraction(v) for v in c])
+        return SimplexResult(-res.value, res.x, tuple(-v for v in res.y))
 
 
 def _pivot(M: list[list[int]], divs: list[int], r: int, c: int) -> None:
@@ -308,10 +295,12 @@ def reduced_costs(rows, y, c) -> tuple[list[int], int]:
     return num, den
 
 
-def verify_certificate(rows, rhs, c, x, y, maximize: bool = True) -> bool:
-    """Exact optimality certificate: primal feasibility, dual feasibility,
-    complementary slackness, and matching objective values.  Both halves
-    work on integer data over one common denominator."""
+def verify_certificate(rows, rhs, c, x, y) -> bool:
+    """Exact certificate that x maximizes c.x subject to rows.x = rhs, x >= 0:
+    primal feasibility, dual feasibility, complementary slackness, and
+    matching objective values.  Both halves work on integer data over one
+    common denominator.  A minimum of c.x is certified as the maximum of
+    -c.x with the dual -y."""
     m, n = len(rows), len(c)
     if len(x) != n or len(y) != m or len(rhs) != m:
         return False
@@ -324,12 +313,8 @@ def verify_certificate(rows, rhs, c, x, y, maximize: bool = True) -> bool:
         if sum(row[j] * v for j, v in xnum) != b * xden:
             return False
     slack, _ = reduced_costs(rows, y, c)
-    if maximize:
-        if any(s < 0 for s in slack):
-            return False
-    else:
-        if any(s > 0 for s in slack):
-            return False
+    if any(s < 0 for s in slack):
+        return False
     if any(slack[j] for j in support):
         return False
     primal = sum((c[j] * x[j] for j in support), Fraction(0))

@@ -166,9 +166,11 @@ def test_criterion_09_full_program_agrees(capsys):
         for n in range(1, 11):
             for k in range(1, min(4, n) + 1):
                 for p in (4, 6, 2):
-                    full = solve_full(n, p, k, certify=False)
-                    red = solve_reduced(n, p, k, certify=False)
+                    full = solve_full(n, p, k)
+                    red = solve_reduced(n, p, k)
                     assert full.optimal_value == red.optimal_value, (n, p, k)
+                    assert full.certificate_ok is True, (n, p, k)
+                    assert red.certificate_ok is True, (n, p, k)
         elapsed = perf_counter() - t0
         d["note"] = f"{elapsed:.1f}s for the whole grid"
         assert elapsed < 300.0

@@ -99,7 +99,7 @@ class TestReducedProgram:
             reduced_lp(4.0, 4, 2)
 
 
-# every pinned value below is solved with certify=True, so the test also
+# every pinned value below comes with a checked certificate, so the test also
 # carries an exact optimality proof for the pin, not just a regression check
 def reduced_value(n, p, k):
     sol = solve_reduced(n, p, k)
@@ -247,12 +247,14 @@ class TestFullProgram:
         assert lo == "3.99506153319166886022"
         assert hi == "3.99506153319166886023"
 
-    def test_certify_false_drops_dual_and_check(self):
-        sol = solve_full(4, 4, 2, certify=False)
-        assert sol.dual is None
-        assert sol.certificate_ok is None
-        certified = solve_full(4, 4, 2)
-        assert certified.optimal_value == sol.optimal_value
+    def test_signed_sums_match_dot_bits(self):
+        # power-of-two scalings move the common denominator both ways
+        base = (1, 2, 3, Fraction(1, 2), Fraction(3, 2), 1, Fraction(2, 3))
+        for scale in (1, 8, Fraction(1, 16), Fraction(-1, 4), Fraction(3, 1024)):
+            w = Weights(tuple(scale * Fraction(v) for v in base))
+            sums, den = extremal._signed_sums(w)
+            assert len(sums) == 1 << 7
+            assert [Fraction(v, den) for v in sums] == [w.dot_bits(x) for x in range(1 << 7)]
 
 
 class TestFlipSymmetry:
@@ -369,25 +371,25 @@ class TestIntervalEnclosure:
             self.assert_encloses(solve_full(n, p, k, a=a), lo, hi)
 
     def test_one_pass_and_one_check(self, monkeypatch):
-        calls = {"maximize": 0, "certify": 0}
+        calls = {"solves": 0, "checks": 0}
         maximize = ExactSimplex.maximize
         verify = extremal.verify_certificate
 
         def counted_maximize(self, *args, **kwargs):
-            calls["maximize"] += 1
+            calls["solves"] += 1
             return maximize(self, *args, **kwargs)
 
         def counted_verify(*args, **kwargs):
-            calls["certify"] += 1
+            calls["checks"] += 1
             return verify(*args, **kwargs)
 
         monkeypatch.setattr(ExactSimplex, "maximize", counted_maximize)
         monkeypatch.setattr(extremal, "verify_certificate", counted_verify)
         for solve in (lambda: solve_reduced(10, Fraction(7, 2), 3),
                       lambda: solve_full(5, Fraction(5, 2), 3)):
-            calls.update(maximize=0, certify=0)
+            calls.update(solves=0, checks=0)
             assert solve().certificate_ok is True
-            assert calls == {"maximize": 1, "certify": 1}
+            assert calls == {"solves": 1, "checks": 1}
 
 
 class TestEqualitySupport:
@@ -463,6 +465,10 @@ class TestSolutionJson:
         sol = solve_reduced(4, Fraction(5, 2), 2)
         data = sol.to_json()
         assert set(data["value"]) == {"lo", "hi", "bits"}
+        assert data["value"]["bits"] == 128
+        # the label is the precision the solve used, not the default
+        assert solve_reduced(8, Fraction(7, 2), 2, prec=40).to_json()["value"]["bits"] == 40
+        assert solve_full(4, Fraction(5, 2), 2, prec=64).to_json()["value"]["bits"] == 64
 
     def test_optimizer_is_a_dict(self):
         assert solve_reduced(4, 4, 2).to_json()["optimizer"] == {

@@ -17,7 +17,10 @@ def test_probability_simplex_picks_best_coefficient():
     assert sum(res.x) == 1 and min(res.x) >= 0
     low = solver.minimize(c)
     assert low.value == 2
-    assert verify_certificate(solver.rows, solver.rhs, c, low.x, low.y, maximize=False)
+    # a minimum of c.x is certified as the maximum of -c.x with the dual -y
+    neg_c = [-v for v in c]
+    neg_y = [-v for v in low.y]
+    assert verify_certificate(solver.rows, solver.rhs, neg_c, low.x, neg_y)
 
 
 def test_two_constraint_exact_solution():
@@ -87,33 +90,21 @@ def test_input_validation():
         ExactSimplex([[Fraction(1, 2), 1]], [1])
 
 
-def test_need_dual_false_drops_dual_only():
-    solver = ExactSimplex([[1, 1, 1]], [1])
-    c = [Fraction(1), Fraction(5), Fraction(2)]
-    lean = solver.maximize(c, need_dual=False)
-    assert lean.y is None
-    full = ExactSimplex([[1, 1, 1]], [1]).maximize(c)
-    assert lean.value == full.value == 5
-    assert lean.x == full.x
-
-
-def test_warm_restart_across_objectives_and_modes():
+def test_warm_restart_across_objectives():
     rows = [[2, 1, 0, 1], [1, 0, 1, 3]]
     rhs = [4, 5]
     solver = ExactSimplex(rows, rhs)
-    fresh = lambda c, nd: ExactSimplex(rows, rhs).maximize(c, need_dual=nd)
     objectives = [
         [Fraction(1), Fraction(2), Fraction(0), Fraction(1)],
         [Fraction(-1), Fraction(1), Fraction(1), Fraction(0)],
         [Fraction(0), Fraction(0), Fraction(1), Fraction(1)],
     ]
-    for nd in (True, False, True):
+    for _ in range(3):
         for c in objectives:
-            warm = solver.maximize(c, need_dual=nd)
-            cold = fresh(c, nd)
+            warm = solver.maximize(c)
+            cold = ExactSimplex(rows, rhs).maximize(c)
             assert warm.value == cold.value
-            if nd:
-                assert verify_certificate(rows, rhs, c, warm.x, warm.y)
+            assert verify_certificate(rows, rhs, c, warm.x, warm.y)
 
 
 def row_reduce(rows, rhs):
