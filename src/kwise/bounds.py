@@ -1,10 +1,10 @@
 """Classical and interpolation bounds for Khintchine-type constants.
 
-All values come back as certified interval enclosures.  Integer orders route
-through exact rational radicands (for even k the Gaussian moment constant
-to the k-th power is the odd double factorial (k-1)!!, an integer), so the
-enclosures are single directed roots; general rational orders go through the
-certified gamma/log/exp machinery.
+All values come back as certified interval enclosures.  Every power goes
+through `intervals.rational_power`, so integer orders come out as single
+directed roots of exact radicands (for even k the Gaussian moment constant
+to the k-th power is the odd double factorial (k-1)!!, an integer); general
+rational orders go through the certified gamma/log/exp machinery.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import factorial
 
 from .intervals import (DEFAULT_PREC, Interval, _double_factorial, exp_interval,
-                        log_interval, loggamma_interval, nth_root, pi_interval)
+                        log_interval, loggamma_interval, pi_interval, rational_power)
 
 
 def _check_order(p) -> Fraction:
@@ -30,14 +30,13 @@ def haagerup_constant(p, prec: int = DEFAULT_PREC) -> Interval:
     if p <= 2:
         return Interval.point(1)
     u, v = p.numerator, p.denominator
-    if v == 1 and u % 2 == 0:
-        return nth_root(Fraction(_double_factorial(u - 1)), u, prec)
-    if v == 1:
-        # odd integer order: constant^(2p) = 2^p ((p-1)/2)!^2 / pi
-        g = (u + 1) // 2
-        radicand = Interval.point(Fraction(2**u * factorial(g - 1) ** 2)) / pi_interval(prec + 16)
-        return radicand.nth_root(2 * u, prec)
     half = Fraction(1, 2)
+    if v == 1 and u % 2 == 0:
+        return rational_power(_double_factorial(u - 1), 1 / p, prec)
+    if v == 1:
+        # odd integer order: sqrt(2) * ((p-1)/2)!^(1/p) * pi^(-1/(2p))
+        return rational_power((2, factorial((u - 1) // 2), pi_interval(prec + 16)),
+                              (half, 1 / p, -half / p), prec)
     t = (loggamma_interval((p + 1) / 2, prec + 16)
          - log_interval(pi_interval(prec + 16), prec + 16) * half) / p \
         + log_interval(Fraction(2), prec + 16) * half
@@ -52,8 +51,7 @@ def sharp_pairwise_value(n: int, p, prec: int = DEFAULT_PREC) -> Interval:
     p = _check_order(p)
     if p < 2:
         raise ValueError(f"needs order >= 2, got {p}")
-    u, v = p.numerator, p.denominator
-    return nth_root(Fraction(n) ** (u - 2 * v), 2 * u, prec)
+    return rational_power(n, Fraction(1, 2) - 1 / p, prec)
 
 
 def interpolation_bound(n: int, p, k: int, prec: int = DEFAULT_PREC) -> Interval:
@@ -66,11 +64,4 @@ def interpolation_bound(n: int, p, k: int, prec: int = DEFAULT_PREC) -> Interval
     p = _check_order(p)
     if p < k:
         raise ValueError(f"bound needs p >= k, got p={p} < k={k}")
-    u, v = p.numerator, p.denominator
-    df = _double_factorial(k - 1)
-    # value^(2p) = ((k-1)!!)^2 * n^(p-k) exactly
-    radicand = Fraction(df) ** (2 * v) * Fraction(n) ** (u - k * v)
-    if max(u, v) > 64:
-        t = log_interval(radicand, prec + 32) / (2 * u)
-        return exp_interval(t, prec)
-    return nth_root(radicand, 2 * u, prec)
+    return rational_power((_double_factorial(k - 1), n), (1 / p, (1 - k / p) / 2), prec)

@@ -12,19 +12,27 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
 from .bounds import haagerup_constant, interpolation_bound, sharp_pairwise_value
 from .constructions import independent_space, partition_space, xor_space
-from .core import _frac_str
+from .core import DIGITS, _frac_str, _value_json
 from .extremal import solve_full, solve_reduced
 from .independence import check_kwise
-from .intervals import DEFAULT_PREC, Interval
+from .intervals import DEFAULT_PREC
 from .moments import Weights, pth_moment, ratio_from_moment
 from .sampler import Stream, StreamSpec, estimate_moment
 
-DIGITS = 40
+# Caps on the inputs whose cost grows without bound, checked at parse time
+# and set from measured time (2-core host, Python 3.11): at |p| = 4095 an
+# n = 10000 reduced program takes about 10 s and 280 MB; at 1024 bits a
+# Stirling-series haagerup bound takes about 2 s (17 s at 2048); a million
+# xor draws take about 20 s.
+MAX_P_TERM = 4096  # numerator and denominator of --p
+MAX_PRECISION_BITS = 1024
+MAX_SAMPLES = 1_000_000
 
 CONSTRUCTIONS = {
     "partition": partition_space,
@@ -34,10 +42,16 @@ CONSTRUCTIONS = {
 
 
 def _fraction(text: str) -> Fraction:
+    """An order --p whose numerator and denominator are at most MAX_P_TERM
+    in absolute value."""
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+    if max(abs(value.numerator), value.denominator) > MAX_P_TERM:
+        raise argparse.ArgumentTypeError(
+            f"numerator and denominator must be at most {MAX_P_TERM}, got {value}")
+    return value
 
 
 def _weights(text: str) -> Weights:
@@ -47,14 +61,19 @@ def _weights(text: str) -> Weights:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_up_to(cap: int):
+    """Parser of an integer in [1, cap]."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+        if not 1 <= value <= cap:
+            raise argparse.ArgumentTypeError(f"must be in [1, {cap}], got {value}")
+        return value
+
+    return parse
 
 
 def _int_list(text: str) -> list[int]:
@@ -63,17 +82,6 @@ def _int_list(text: str) -> list[int]:
 
 def _fraction_list(text: str) -> list[Fraction]:
     return [_fraction(s) for s in text.split(",")]
-
-
-def _interval_json(iv: Interval, bits: int) -> dict:
-    lo, hi = iv.decimal_bounds(DIGITS)
-    return {"lo": lo, "hi": hi, "bits": bits}
-
-
-def _value_json(value, bits: int):
-    if isinstance(value, Interval):
-        return _interval_json(value, bits)
-    return _frac_str(value)
 
 
 # -- rendering ---------------------------------------------------------------
@@ -148,7 +156,7 @@ def _cmd_bound(args) -> dict:
         if args.n is None or args.p is None or args.k is None:
             raise ValueError("interpolation bound needs --n, --p and --k")
         iv = interpolation_bound(args.n, args.p, args.k, prec)
-    return {"kind": args.kind, "value": _interval_json(iv, prec)}
+    return {"kind": args.kind, "value": _value_json(iv, prec)}
 
 
 def _cmd_constant(args) -> dict:
@@ -204,13 +212,14 @@ def _cmd_table(args) -> list[dict]:
                 if p not in haagerup:
                     haagerup[p] = haagerup_constant(p, prec).decimal_bounds(DIGITS)[0]
                 ratio = ratio_from_moment(sol.optimal_value, p, Fraction(n), prec)
+                ratio_lo, ratio_hi = ratio.decimal_bounds(DIGITS)
                 row = {
                     "n": n,
                     "p": _frac_str(p),
                     "k": k,
                     "value": _value_json(sol.optimal_value, prec),
-                    "ratio_lo": ratio.decimal_bounds(DIGITS)[0],
-                    "ratio_hi": ratio.decimal_bounds(DIGITS)[1],
+                    "ratio_lo": ratio_lo,
+                    "ratio_hi": ratio_hi,
                     "sharp": None,
                     "interpolation": None,
                     "haagerup": haagerup[p],
@@ -236,7 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def fmt(p):
         p.add_argument("--format", choices=("json", "csv", "table"), default="json")
-        p.add_argument("--precision-bits", type=_positive_int, default=DEFAULT_PREC)
+        p.add_argument("--precision-bits", type=_int_up_to(MAX_PRECISION_BITS), default=DEFAULT_PREC)
 
     p = sub.add_parser("construct", help="build a named sample space")
     p.add_argument("--construct", choices=sorted(CONSTRUCTIONS), required=True)
@@ -277,7 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("partition", "xor", "independent"), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=_positive_int, default=1)
+    p.add_argument("--samples", type=_int_up_to(MAX_SAMPLES), default=1)
     fmt(p)
 
     p = sub.add_parser("estimate", help="Monte Carlo moment estimate")
@@ -286,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=_fraction, required=True)
     p.add_argument("--a", type=_weights)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=_positive_int, default=10000)
+    p.add_argument("--samples", type=_int_up_to(MAX_SAMPLES), default=10000)
     fmt(p)
 
     p = sub.add_parser("table", help="sweep (n, p, k) and compare against bounds")
@@ -326,7 +335,15 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (kwise ... | head): point stdout at devnull,
+        # so that the interpreter's own flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -10,7 +10,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, Union
+
+from .intervals import Interval
 
 Rational = Fraction
 
@@ -18,6 +20,9 @@ Rational = Fraction
 # separately because 2^n atoms get large much sooner than n does.
 MAX_DIMENSION = 63
 MAX_ENUMERATION = 24
+
+# decimal places of every printed interval endpoint
+DIGITS = 40
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,6 +190,15 @@ class WeightProfile:
 
 def _frac_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
+
+
+def _value_json(value: Union[Fraction, Interval], bits: int):
+    """An exact value as "num/den"; an enclosure as its endpoints rounded
+    outward to DIGITS places, with the precision it was computed at."""
+    if isinstance(value, Interval):
+        lo, hi = value.decimal_bounds(DIGITS)
+        return {"lo": lo, "hi": hi, "bits": bits}
+    return _frac_str(value)
 
 
 def expand(profile: WeightProfile) -> SampleSpace:

@@ -17,7 +17,7 @@ from itertools import combinations
 from math import comb, lcm
 from typing import Optional, Union
 
-from .core import SampleSpace, SignVector, WeightProfile, _frac_str
+from .core import SampleSpace, SignVector, WeightProfile, _frac_str, _value_json
 from .independence import check_kwise
 from .intervals import DEFAULT_PREC, Interval, rational_power
 from .moments import Weights
@@ -139,17 +139,12 @@ class LpSolution:
     prec: int = DEFAULT_PREC
 
     def to_json(self) -> dict:
-        if isinstance(self.optimal_value, Interval):
-            lo, hi = self.optimal_value.decimal_bounds(40)
-            value = {"lo": lo, "hi": hi, "bits": self.prec}
-        else:
-            value = _frac_str(self.optimal_value)
         out = {
             "kind": self.kind,
             "n": self.n,
             "p": _frac_str(self.p),
             "k": self.k,
-            "value": value,
+            "value": _value_json(self.optimal_value, self.prec),
             "optimizer": self.optimizer.to_json(),
             "dual": [_frac_str(v) for v in self.dual],
             "unique": self.unique,

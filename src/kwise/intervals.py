@@ -5,12 +5,17 @@ field operations are exact on Fraction endpoints, and the irrational
 primitives (integer roots, pi, exp, log, gamma) come from convergent series
 with explicit rational remainder bounds, rounded outward onto a dyadic grid.
 No floating point is involved anywhere.
+
+`rational_power` is the one route for fractional powers and their products
+(b1^e1 * b2^e2 * ...): a single directed root of the exact radicand while
+the exponents' common denominator and the radicand stay small, so that a
+rational result is a point, and exp of a sum of logs beyond that.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import ceil, comb, lcm
 
 DEFAULT_PREC = 128
 
@@ -183,22 +188,62 @@ def nth_root(x: Fraction, k: int, prec: int = DEFAULT_PREC) -> Interval:
     return Interval(Fraction(r, scale), Fraction(r + 1, scale))
 
 
-def rational_power(x: Fraction, e: Fraction, prec: int = DEFAULT_PREC) -> Interval:
-    """Enclosure of x**e for rational x >= 0 (x = 0 needs e > 0)."""
-    x, e = Fraction(x), Fraction(e)
-    if x == 0 and e > 0:
+# Above either size the power goes through exp/log instead of one root: an
+# integer k-th root costs about k Newton steps on numbers of k*prec bits.
+ROOT_MAX_DEGREE = 64
+ROOT_MAX_BITS = 1 << 16
+
+
+def rational_power(x, e, prec: int = DEFAULT_PREC) -> Interval:
+    """Enclosure of x**e, or of the product of b**f over zip(x, e) when x and
+    e are sequences.  Bases are rationals or Intervals >= 0, exponents are
+    rational, and a base reaching 0 needs a positive exponent.
+
+    This is the one route for fractional powers.  With d the common
+    denominator of the exponents, the product is the d-th root of the exact
+    rational radicand prod b**(f*d), taken once and rounded outward at
+    `prec` bits, so a rational result is a point.  When d exceeds
+    ROOT_MAX_DEGREE or the radicand ROOT_MAX_BITS, it is exp(sum f*log b)
+    instead.  The product is monotone in each base, so an Interval base
+    contributes its lower end to the lower corner and its upper end to the
+    upper one (the other way round for a negative exponent)."""
+    if isinstance(x, (tuple, list)):
+        factors = [(_coerce(b), Fraction(f)) for b, f in zip(x, e, strict=True)]
+    else:
+        factors = [(_coerce(x), Fraction(e))]
+    for b, f in factors:
+        if b.lo < 0 or (b.lo == 0 and f <= 0):
+            raise ValueError(f"rational_power needs a positive base, got {b} ** {f}")
+    low = [(b.lo if f > 0 else b.hi, f) for b, f in factors]
+    high = [(b.hi if f > 0 else b.lo, f) for b, f in factors]
+    if low == high:
+        return _corner_power(low, prec)
+    return Interval(_corner_power(low, prec).lo, _corner_power(high, prec).hi)
+
+
+def _corner_power(factors: list[tuple[Fraction, Fraction]], prec: int) -> Interval:
+    """Enclosure of the product of b**f over rational b >= 0 (b = 0 only
+    with f > 0)."""
+    if any(b == 0 for b, _ in factors):
         return Interval.point(0)
-    if x <= 0:
-        raise ValueError(f"rational_power needs a positive base, got {x}")
-    if e < 0:
-        inner = rational_power(x, -e, prec + 8)
-        return (Interval.point(1) / inner).round_out(prec)
-    u, v = e.numerator, e.denominator
-    bits = max(x.numerator.bit_length(), x.denominator.bit_length())
-    if u > 512 or bits * u > 1 << 20:
-        # huge exponents go through exp/log to dodge astronomical powers
-        return exp_interval(log_interval(x, prec + 32) * e, prec)
-    return nth_root(x**u, v, prec)
+    factors = [(b, f) for b, f in factors if f and b != 1]
+    if not factors:
+        return Interval.point(1)
+    d = lcm(*(f.denominator for _, f in factors))
+    if d <= ROOT_MAX_DEGREE:
+        powers = [(b, int(f * d)) for b, f in factors]
+        size = sum(abs(k) * max(b.numerator.bit_length(), b.denominator.bit_length())
+                   for b, k in powers)
+        if size <= ROOT_MAX_BITS:
+            radicand = _ONE
+            for b, k in powers:
+                radicand *= b**k
+            return nth_root(radicand, d, prec)
+    # the exponents scale the logs' widths: that is bought back in working
+    # bits, so the result is good to about 2**-prec relative to its size
+    w = prec + 32 + ceil(sum(abs(f) for _, f in factors)).bit_length()
+    t = sum((f * log_interval(b, w) for b, f in factors), Interval.point(0))
+    return exp_interval(t, prec)
 
 
 # ---------------------------------------------------------------------------
@@ -236,21 +281,26 @@ _LOG2_CACHE: dict[int, Interval] = {}
 
 
 def _atanh_series(t: Fraction, prec: int) -> Interval:
-    """Enclosure of atanh(t) = t + t^3/3 + ... for 0 <= t < 1/2."""
-    eps = Fraction(1, 1 << (prec + 4))
-    t2 = t * t
-    total = _ZERO
-    power = t
-    k = 0
-    while True:
-        term = power / (2 * k + 1)
-        if term < eps:
-            # geometric tail: sum_{j>k} t^(2j+1)/(2j+1) <= term-ish remainder
-            tail = power / ((2 * k + 1) * (1 - t2))
-            return Interval(total, total + tail)
-        total += term
-        power *= t2
-        k += 1
+    """Enclosure of atanh(t) = t + t^3/3 + ... for 0 <= t < 1/2, summed in
+    fixed point on a grid finer than 2**-prec: the lower sum rounds every
+    power and term down, the upper one rounds them up, so the integers stay
+    short however long t's own numerator and denominator get."""
+    a, b = t.numerator, t.denominator
+    a2, b2 = a * a, b * b
+    bits = prec + 8 + prec.bit_length()  # room for a few ulps per term
+    stop = 1 << (bits - prec - 4)  # terms below 2**-(prec+4) are left to the tail
+    lo_pow, hi_pow = (a << bits) // b, -((-a << bits) // b)
+    lo = hi = 0
+    d = 1
+    while hi_pow >= stop * d:
+        lo += lo_pow // d
+        hi += -(-hi_pow // d)
+        lo_pow = lo_pow * a2 // b2
+        hi_pow = -(-hi_pow * a2 // b2)
+        d += 2
+    # geometric tail: the rest of the series is at most t^d / (d (1 - t^2))
+    hi += -(-hi_pow * b2 // (d * (b2 - a2)))
+    return Interval(Fraction(lo, 1 << bits), Fraction(hi, 1 << bits))
 
 
 def _log2_interval(prec: int) -> Interval:
@@ -273,16 +323,26 @@ def log_interval(x, prec: int = DEFAULT_PREC) -> Interval:
     if x < 1:
         return (-log_interval(1 / x, prec + 4)).round_out(prec)
     w = prec + 16
-    e = x.numerator.bit_length() - x.denominator.bit_length()
-    m = x / Fraction(1 << e) if e >= 0 else x * (1 << -e)
-    while m >= 2:
-        m /= 2
-        e += 1
-    while m < 1:
-        m *= 2
+    # x = num/den * 2^e with 1 <= num/den < 2, in integers only: x is
+    # reduced, so num and den share at most a power of two
+    a, b = x.numerator, x.denominator
+    e = a.bit_length() - b.bit_length()
+    if a << max(0, -e) < b << max(0, e):
         e -= 1
-    t = (m - 1) / (m + 1)  # in [0, 1/3)
-    iv = 2 * _atanh_series(t, w) + e * _log2_interval(w)
+    num, den = (a, b << e) if e >= 0 else (a << -e, b)
+    twos = min((num & -num).bit_length(), (den & -den).bit_length()) - 1
+    num, den = num >> twos, den >> twos
+    if den.bit_length() > w:
+        # the series would drag a long mantissa through every term: bracket
+        # it by w-bit dyadics and take each end from its own bracket
+        q = (num << w) // den
+        lo, hi = Fraction(q, 1 << w), Fraction(q + 1, 1 << w)
+        series = Interval(_atanh_series((lo - 1) / (lo + 1), w).lo,
+                          _atanh_series((hi - 1) / (hi + 1), w).hi)
+    else:
+        m = Fraction(num, den)
+        series = _atanh_series((m - 1) / (m + 1), w)  # argument in [0, 1/3)
+    iv = 2 * series + e * _log2_interval(w)
     return iv.round_out(prec)
 
 
@@ -297,20 +357,22 @@ def exp_interval(x, prec: int = DEFAULT_PREC) -> Interval:
         y /= 2
         halvings += 1
     w = prec + 24 + 2 * halvings
-    eps = Fraction(1, 1 << w)
-    total = _ONE
-    term = _ONE
+    # the Taylor series in fixed point on a grid finer than 2**-w: each
+    # term y^k/k! is held between two integers, rounded down and up
+    bits = w + 8 + w.bit_length()
+    a, b = y.numerator, y.denominator
+    lo = hi = t_lo = t_hi = 1 << bits
     k = 0
-    while True:
+    while max(-t_lo, t_hi) >> (bits - w):  # the last term is 2**-w or more
         k += 1
-        term = term * y / k
-        total += term
-        bound = 2 * abs(term)
-        if bound < eps:
-            break
-        if k > 4 * w:
-            raise RuntimeError("exp series failed to converge")  # unreachable
-    iv = Interval(max(_ZERO, total - bound), total + bound).round_out(w)
+        p1, p2 = t_lo * a, t_hi * a
+        t_lo, t_hi = min(p1, p2) // (b * k), -(-max(p1, p2) // (b * k))
+        lo += t_lo
+        hi += t_hi
+    # |y| <= 1/2: the rest of the series is at most twice the last term
+    bound = 2 * max(-t_lo, t_hi)
+    iv = Interval(Fraction(max(0, lo - bound), 1 << bits),
+                  Fraction(hi + bound, 1 << bits)).round_out(w)
     for _ in range(halvings):
         iv = Interval(iv.lo * iv.lo, iv.hi * iv.hi).round_out(w)
     return iv.round_out(prec)
@@ -395,5 +457,5 @@ def gamma_interval(x: Fraction, prec: int = DEFAULT_PREC) -> Interval:
     if x.denominator == 2:
         m = (x.numerator - 1) // 2  # x = m + 1/2 with m >= 0
         factor = Fraction(_double_factorial(2 * m - 1), 1 << m)
-        return (factor * pi_interval(prec + 8).nth_root(2, prec + 8)).round_out(prec)
+        return (factor * rational_power(pi_interval(prec + 8), Fraction(1, 2), prec + 8)).round_out(prec)
     return exp_interval(loggamma_interval(x, prec + 16), prec)

@@ -7,9 +7,13 @@ from math import factorial
 from typing import Sequence, Union
 
 from .core import SampleSpace
-from .intervals import DEFAULT_PREC, Interval, exp_interval, log_interval, nth_root
+from .intervals import DEFAULT_PREC, Interval, rational_power
 
 Value = Union[Fraction, Interval]
+
+# fractional-order moments are retried at doubled precision until their
+# relative width is below 2**-REL_TOL_BITS
+REL_TOL_BITS = 60
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,36 +74,24 @@ def _check_p(p) -> Fraction:
 
 def ratio_from_moment(value: Value, p, l2sq: Fraction,
                       prec: int = DEFAULT_PREC) -> Interval:
-    """Enclosure of value^(1/p) / sqrt(l2sq).
+    """Enclosure of value^(1/p) / sqrt(l2sq), one `rational_power` call.
 
-    An exact rational moment is the point interval on it, so the ratio is a
-    single rational root (ratio^(2u) = value^(2v) / l2sq^u for p = u/v),
-    which collapses to a point whenever the ratio itself is rational.
+    An exact rational moment is the point interval on it, and the ratio then
+    collapses to a point whenever it is rational itself.
     """
     p = _check_p(p)
     if l2sq <= 0:
         raise ValueError("l2sq must be positive")
-    u, v = p.numerator, p.denominator
-    if not isinstance(value, Interval):
-        value = Interval.point(value)
-    if value.lo < 0:
-        raise ValueError("moments of |sum| cannot be negative")
-    if max(u, v) > 64 and value.lo > 0:
-        # keep radicand sizes sane for extreme rational orders
-        t = log_interval(value, prec + 32) * Fraction(v, u) \
-            - log_interval(l2sq, prec + 32) / 2
-        return exp_interval(t, prec)
-    radicand = value.pow_int(2 * v) / Interval.point(l2sq).pow_int(u)
-    return radicand.nth_root(2 * u, prec)
+    return rational_power((value, l2sq), (1 / p, Fraction(-1, 2)), prec)
 
 
 def pth_moment(space: SampleSpace, weights: Weights, p,
-               prec: int = DEFAULT_PREC, rel_tol_bits: int = 60) -> MomentResult:
+               prec: int = DEFAULT_PREC) -> MomentResult:
     """E|sum_i a_i x_i|^p over the given law.
 
     Integer p gives an exact rational value; other rational p gives a
     certified enclosure, retried at doubled precision until the relative
-    width drops below 2**-rel_tol_bits.
+    width drops below 2**-REL_TOL_BITS.
     """
     p = _check_p(p)
     if weights.n != space.n:
@@ -110,15 +102,17 @@ def pth_moment(space: SampleSpace, weights: Weights, p,
         for bits, prob in space.masses.items():
             value += prob * abs(weights.dot_bits(bits)) ** k
         return MomentResult(p, value, ratio_from_moment(value, p, weights.l2sq, prec))
-    u, v = p.numerator, p.denominator
-    sums = [(abs(weights.dot_bits(bits)) ** u, prob)
-            for bits, prob in space.masses.items()]
+    # the mass on each distinct |<a, x>|, so that each root is taken once
+    mass: dict[Fraction, Fraction] = {}
+    for bits, prob in space.masses.items():
+        dot = abs(weights.dot_bits(bits))
+        mass[dot] = mass.get(dot, Fraction(0)) + prob
     work = prec
     while True:
         value = Interval.point(0)
-        for powered, prob in sums:
-            value = value + prob * nth_root(powered, v, work)
-        if value.hi == 0 or value.width * (1 << rel_tol_bits) <= value.hi:
+        for dot, prob in mass.items():
+            value = value + prob * rational_power(dot, p, work)
+        if value.hi == 0 or value.width * (1 << REL_TOL_BITS) <= value.hi:
             break
         work *= 2
     return MomentResult(p, value, ratio_from_moment(value, p, weights.l2sq, prec))

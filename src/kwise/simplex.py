@@ -68,44 +68,43 @@ class ExactSimplex:
         self.m = len(rows)
         self.rows = [list(r) for r in rows]
         self.rhs = list(rhs)
-        self._state: tuple[list[list[int]], list[int], list[int]] | None = None
-        self._warm: tuple[list[list[int]], list[int], list[int]] | None = None
+        # the feasible tableau each maximize starts from: phase 1's, then
+        # the previous maximize's final one
+        self._tableau: tuple[list[list[int]], list[int], list[int]] | None = None
 
     @property
     def phase1_done(self) -> bool:
         """True once a feasible basis has been found and cached."""
-        return self._state is not None
+        return self._tableau is not None
 
     def prepare(self) -> None:
         """Run phase 1 now (a no-op once it has run), so that its cost is
         paid apart from the first objective's."""
-        self._phase1()
+        if self._tableau is None:
+            self._phase1()
 
     # -- phase 1 -----------------------------------------------------------
 
-    def _phase1(self) -> tuple[list[list[int]], list[int], list[int]]:
-        if self._state is None:
-            n, m = self.n, self.m
-            width = n + m + 1
-            M: list[list[int]] = []
-            for i, row in enumerate(self.rows):
-                flip = -1 if self.rhs[i] < 0 else 1
-                art = [0] * m
-                art[i] = flip
-                M.append([flip * v for v in row] + art + [flip * self.rhs[i]])
-            divs = [1] * m
-            basis = [n + i for i in range(m)]
-            # objective row for maximizing -(sum of artificials)
-            M.append([-sum(M[i][j] for i in range(m)) for j in range(width)])
-            divs.append(1)
-            self._optimize(M, divs, basis, stop_at_zero=True)
-            if M[m][width - 1] != 0:
-                raise RuntimeError("program is infeasible")
-            M.pop()
-            divs.pop()
-            self._state = (M, divs, basis)
-        M, divs, basis = self._state
-        return [row[:] for row in M], divs[:], basis[:]
+    def _phase1(self) -> None:
+        n, m = self.n, self.m
+        width = n + m + 1
+        M: list[list[int]] = []
+        for i, row in enumerate(self.rows):
+            flip = -1 if self.rhs[i] < 0 else 1
+            art = [0] * m
+            art[i] = flip
+            M.append([flip * v for v in row] + art + [flip * self.rhs[i]])
+        divs = [1] * m
+        basis = [n + i for i in range(m)]
+        # objective row for maximizing -(sum of artificials)
+        M.append([-sum(M[i][j] for i in range(m)) for j in range(width)])
+        divs.append(1)
+        self._optimize(M, divs, basis, stop_at_zero=True)
+        if M[m][width - 1] != 0:
+            raise RuntimeError("program is infeasible")
+        M.pop()
+        divs.pop()
+        self._tableau = (M, divs, basis)
 
     # -- core loop ----------------------------------------------------------
 
@@ -183,11 +182,10 @@ class ExactSimplex:
         cf = [Fraction(v) for v in c]
         if len(cf) != self.n:
             raise ValueError(f"objective length {len(cf)} != {self.n} columns")
-        if self._warm is not None:
-            M, divs, basis = self._warm
-            M, divs, basis = [row[:] for row in M], divs[:], basis[:]
-        else:
-            M, divs, basis = self._phase1()
+        if self._tableau is None:
+            self._phase1()
+        M, divs, basis = self._tableau
+        M, divs, basis = [row[:] for row in M], divs[:], basis[:]
         n, m = self.n, self.m
         last = n + m
         # objective row holds true reduced costs over one divisor: start from
@@ -218,7 +216,7 @@ class ExactSimplex:
         value = Fraction(obj[last], dob)
         M.pop()
         divs.pop()
-        self._warm = ([row[:] for row in M], divs[:], basis[:])
+        self._tableau = (M, divs, basis)
         return SimplexResult(value, tuple(x), y)
 
     def minimize(self, c: Sequence) -> SimplexResult:

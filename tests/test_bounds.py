@@ -36,7 +36,10 @@ def test_baseline_even_orders_are_double_factorials(p):
     assert haagerup_constant(p).pow_int(p).contains(dfact)
 
 
-@pytest.mark.parametrize("p", [Fraction(5, 2), Fraction(3), Fraction(7, 2), Fraction(21, 4)])
+@pytest.mark.parametrize(
+    "p", [Fraction(5, 2), Fraction(3), Fraction(7, 2), Fraction(21, 4),
+          Fraction(2000), Fraction(2001), Fraction(4001, 2)]
+)
 def test_baseline_matches_gamma_formula(p):
     """sqrt(2) (Gamma((p+1)/2)/sqrt(pi))^(1/p), checked against mpmath."""
     iv = haagerup_constant(p, 160)
@@ -69,6 +72,16 @@ def test_sharp_pairwise_value_closed_form(n, p):
     assert moment.contains(Fraction(n) ** (p - 1))
 
 
+@pytest.mark.parametrize("n,p", [(10, Fraction(2001)), (10, Fraction(4001, 2000)), (16, Fraction(129, 2))])
+def test_sharp_pairwise_value_large_orders(n, p):
+    iv = sharp_pairwise_value(n, p)
+    with mpmath.workdps(60):
+        want = mpmath.mpf(n) ** (mpmath.mpf(1) / 2 - mpmath.mpf(p.denominator) / p.numerator)
+        lo, hi = iv.decimal_bounds(30)
+        assert Decimal(lo) <= mp_decimal(want) <= Decimal(hi)
+    assert iv.width < Fraction(1, 2**120)
+
+
 def test_sharp_pairwise_value_rational_points():
     # n^(1/2 - 1/p) is rational when the exponent clears denominators:
     # 16^(1/2 - 1/4) = 2, and p = 2 kills the exponent for every n
@@ -78,7 +91,7 @@ def test_sharp_pairwise_value_rational_points():
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 10])
-@pytest.mark.parametrize("p,k", [(4, 4), (6, 4), (6, 6), (8, 4)])
+@pytest.mark.parametrize("p,k", [(4, 4), (6, 4), (6, 6), (8, 4), (2001, 4)])
 def test_interpolation_bound_formula(n, p, k):
     """C(k)^(k/p) n^(1/2 - k/(2p)) for even k <= p, against mpmath."""
     iv = interpolation_bound(n, p, k, 160)

@@ -1,10 +1,15 @@
 """Command-line interface: output shapes, formats, determinism, exit codes."""
 import json
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from kwise.cli import run
+import kwise
+from kwise.cli import MAX_P_TERM, MAX_PRECISION_BITS, MAX_SAMPLES, run
 from kwise.sampler import StreamSpec, estimate_moment
 
 
@@ -66,10 +71,98 @@ class TestInputBounds:
         assert out == ""
         assert "usage:" in err and "--samples" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bound", "--kind", "haagerup", "--p", str(MAX_P_TERM + 1)),
+            ("bound", "--kind", "haagerup", "--p", f"1/{MAX_P_TERM + 1}"),
+            ("constant", "--n", "8", "--p", str(MAX_P_TERM + 1), "--k", "2"),
+            ("moment", "--construct", "partition", "--n", "4", "--p", f"-{MAX_P_TERM + 1}"),
+            ("table", "--n", "4", "--p", f"2,3/{MAX_P_TERM + 1}", "--k", "2"),
+        ],
+    )
+    def test_order_above_cap_is_usage_error(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "usage:" in err and "--p" in err
+
+    def test_precision_bits_above_cap_is_usage_error(self, capsys):
+        code, out, err = invoke(capsys, "bound", "--kind", "haagerup", "--p", "3",
+                                "--precision-bits", str(MAX_PRECISION_BITS + 1))
+        assert code == 2
+        assert out == ""
+        assert "usage:" in err and "--precision-bits" in err
+
+    @pytest.mark.parametrize("command", ["sample", "estimate"])
+    def test_samples_above_cap_is_usage_error(self, capsys, command):
+        argv = [command, "--kind", "partition", "--n", "4", "--samples", str(MAX_SAMPLES + 1)]
+        if command == "estimate":
+            argv += ["--p", "4"]
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "usage:" in err and "--samples" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bound", "--kind", "haagerup", "--p", str(MAX_P_TERM)),
+            ("bound", "--kind", "haagerup", "--p", str(MAX_P_TERM - 1)),
+            ("moment", "--construct", "partition", "--n", "8", "--p", f"{MAX_P_TERM - 1}/{MAX_P_TERM // 2}"),
+        ],
+    )
+    def test_caps_themselves_are_accepted(self, capsys, argv):
+        code, out, _ = invoke(capsys, *argv, "--precision-bits", str(MAX_PRECISION_BITS))
+        assert code == 0
+        assert json.loads(out)["value"]["bits"] == MAX_PRECISION_BITS
+
     def test_reduced_flag_is_gone(self, capsys):
         code, _, err = invoke(capsys, "constant", "--n", "4", "--p", "4", "--k", "2", "--reduced")
         assert code == 2
         assert "--reduced" in err
+
+
+class TestLargeOrders:
+    """Orders whose single-root radicands would run to thousands of digits:
+    they go through exp/log and finish in well under 5 s."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bound", "--kind", "haagerup", "--p", "2001"),
+            ("bound", "--kind", "haagerup", "--p", "4001/2"),
+            ("bound", "--kind", "sharp", "--n", "10", "--p", "2001"),
+            ("table", "--n", "4", "--p", "4001/2000", "--k", "2"),
+            ("moment", "--construct", "partition", "--n", "8", "--p", "1001/1000"),
+        ],
+    )
+    def test_finishes_under_five_seconds(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, _ = invoke(capsys, *argv)
+        assert time.perf_counter() - start < 5
+        assert code == 0
+        json.loads(out)
+
+
+class TestBrokenPipe:
+    def test_closed_reader_gives_no_traceback(self):
+        # about 1.3 MB of rows, far beyond a pipe buffer, so that the writes
+        # are still going when the reader closes its end
+        src = str(Path(kwise.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); "
+             "from kwise.cli import main; main()",
+             "sample", "--kind", "independent", "--n", "40", "--samples", "20000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert len(head) == 100
+        assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 class TestDeterminism:

@@ -147,3 +147,94 @@ def test_rational_power_against_mpmath(x, e):
 def test_rational_power_integer_exponent_is_exact():
     assert rational_power(Fraction(3, 2), Fraction(4), 64).contains(Fraction(81, 16))
     assert rational_power(Fraction(5), Fraction(-2), 64).contains(Fraction(1, 25))
+
+
+def _mp(x):
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+def _mp_product(bases, exps):
+    out = mpmath.mpf(1)
+    for b, f in zip(bases, exps):
+        out *= _mp(Fraction(b)) ** _mp(Fraction(f))
+    return out
+
+
+@pytest.mark.parametrize(
+    "bases, exps, route",
+    [
+        # one root: d <= ROOT_MAX_DEGREE and a radicand of at most ROOT_MAX_BITS
+        ((Fraction(7, 3),), (Fraction(5, 64),), "root"),
+        ((Fraction(10),), (Fraction(-63, 64),), "root"),
+        ((Interval(Fraction(5, 4), Fraction(4, 3)), Fraction(3)), (Fraction(2, 7), Fraction(-1, 2)), "root"),
+        ((Fraction(2**999 + 1),), (Fraction(65, 2),), "root"),
+        # exp/log: d above ROOT_MAX_DEGREE, or a radicand above ROOT_MAX_BITS
+        ((Fraction(7, 3),), (Fraction(6, 65),), "log"),
+        ((Fraction(10),), (Fraction(-64, 65),), "log"),
+        ((Interval(Fraction(5, 4), Fraction(4, 3)), Fraction(3)), (Fraction(2, 67), Fraction(-1, 2)), "log"),
+        ((Fraction(2**999 + 1),), (Fraction(67, 2),), "log"),
+        ((Fraction(1, 2**999 + 1), Fraction(5)), (Fraction(67, 2), Fraction(-1, 3)), "log"),
+    ],
+)
+def test_rational_power_both_routes_against_mpmath(monkeypatch, bases, exps, route):
+    from kwise import intervals
+
+    roots = []
+    real_nth_root = intervals.nth_root
+    monkeypatch.setattr(intervals, "nth_root", lambda *a: roots.append(a) or real_nth_root(*a))
+    prec = 96
+    iv = rational_power(bases, exps, prec)
+    assert bool(roots) == (route == "root")
+    # the product is monotone in each base: its range is spanned by two corners
+    low, high = [], []
+    for b, f in zip(bases, exps):
+        lo, hi = (b.lo, b.hi) if isinstance(b, Interval) else (b, b)
+        low.append(lo if f > 0 else hi)
+        high.append(hi if f > 0 else lo)
+    with mpmath.workdps(400):
+        lo, hi = _mp_product(low, exps), _mp_product(high, exps)
+        assert _mp(iv.lo) <= lo and hi <= _mp(iv.hi)
+        slack = mpmath.mpf(2) ** (8 - prec) * max(1, hi)
+        assert _mp(iv.lo) >= lo - slack and _mp(iv.hi) <= hi + slack
+
+
+def test_rational_power_collapses_rational_products_to_points():
+    assert rational_power((Fraction(16), Fraction(9)), (Fraction(1, 4), Fraction(-1, 2))) == \
+        Interval.point(Fraction(2, 3))
+    assert rational_power(Fraction(27, 8), Fraction(-2, 3)) == Interval.point(Fraction(4, 9))
+    assert rational_power(Fraction(0), Fraction(1, 3)) == Interval.point(0)
+    assert rational_power(Interval(Fraction(0), Fraction(4)), Fraction(1, 2)) == \
+        Interval(Fraction(0), Fraction(2))
+
+
+@pytest.mark.parametrize(
+    "bases, exps",
+    [(Fraction(0), Fraction(-1, 2)), (Fraction(0), Fraction(0)), (Fraction(-1), Fraction(1, 3)),
+     ((Interval(Fraction(0), Fraction(1)),), (Fraction(-1),))],
+)
+def test_rational_power_rejects_bases_it_cannot_enclose(bases, exps):
+    with pytest.raises(ValueError):
+        rational_power(bases, exps)
+
+
+def test_log_of_a_long_mantissa():
+    from math import factorial
+
+    x = Fraction(factorial(3000), factorial(2999) + 1)
+    iv = log_interval(x, 160)
+    with mpmath.workdps(80):
+        want = mpmath.log(factorial(3000)) - mpmath.log(factorial(2999) + 1)
+        assert _mp(iv.lo) <= want <= _mp(iv.hi)
+    assert iv.width < Fraction(1, 2**150)
+
+
+@pytest.mark.parametrize("t", [Fraction(0), Fraction(1, 3), Fraction(7, 23), Fraction(2**200 + 1, 3**130)])
+@pytest.mark.parametrize("prec", [64, 300])
+def test_atanh_series_encloses_at_its_own_precision(t, prec):
+    from kwise.intervals import _atanh_series
+
+    iv = _atanh_series(t, prec)
+    with mpmath.workdps(200):
+        want = mpmath.atanh(_mp(t))
+        assert _mp(iv.lo) <= want <= _mp(iv.hi)
+    assert iv.width < Fraction(1, 2 ** (prec + 2))
