@@ -88,9 +88,9 @@ def reduced_lp(n: int, p, k: int, prec: int = DEFAULT_PREC) -> ReducedLp:
     if pf.denominator == 1:
         obj = tuple(abs(2 * m - n) ** int(pf) for m in range(n + 1))
     else:
-        obj = tuple(
-            rational_power(Fraction(abs(2 * m - n)), pf, prec) for m in range(n + 1)
-        )
+        # |2m - n| = |2(n - m) - n|: one power per distinct base
+        memo = {b: rational_power(Fraction(b), pf, prec) for b in range(n % 2, n + 1, 2)}
+        obj = tuple(memo[abs(2 * m - n)] for m in range(n + 1))
     return ReducedLp(n, k, obj, rows, rhs)
 
 
@@ -257,11 +257,25 @@ def full_constraint_labels(n: int, k: int) -> tuple[tuple[int, ...], ...]:
 def _flip_solver(n: int, k: int) -> ExactSimplex:
     """The flip-symmetric program for even k: one column per pair {x, ~x},
     indexed by x - 2^(n-1) for the member x with the top bit set, and the
-    normalization and even-size parity rows of `_full_rows` only."""
+    normalization and even-size parity rows of `_full_rows` only.
+
+    Phase 1 starts from the uniform law on the even-weight code (the sign
+    vectors with an even number of minus signs) when n is even,
+    k <= n - 2 and n <= 2k + 2.  That law is (n-1)-wise independent, so it
+    meets every row while k < n; k = n fails because the row T = [n] is
+    constant 1 on the code.  Its 2^(n-2) pairs, the columns x - 2^(n-1)
+    for x >= 2^(n-1) of even popcount, form a basis exactly when every
+    even-size character appears among the rows up to complement (on the
+    code, T and its complement give the same row): every even size t has
+    min(t, n - t) <= k, which for even k is n <= 2k + 2.  Other cells
+    start phase 1 from the all-artificial basis."""
     half = 1 << (n - 1)
     full, _, labels = _full_rows(n, k)
     rows = [row[half:] for row, t in zip(full, labels) if len(t) % 2 == 0]
-    return ExactSimplex(rows, [1] + [0] * (len(rows) - 1))
+    start = ()
+    if n % 2 == 0 and k <= n - 2 and n <= 2 * k + 2:
+        start = [x - half for x in range(half, 1 << n) if x.bit_count() % 2 == 0]
+    return ExactSimplex(rows, [1] + [0] * (len(rows) - 1), start)
 
 
 def _signed_sums(a: Weights) -> tuple[list[int], int]:

@@ -2,11 +2,15 @@
 
 The tableau is kept fraction-free row by row: each row is an integer vector
 together with one positive integer divisor, reduced after every update by the
-gcd of the divisor with the row's content.  True tableau entries here are
-ratios of basis minors in which the big determinant factors mostly cancel, so
-the reduced rows stay near machine-word size while a single shared divisor in
-the style of Bareiss would drag hundred-digit integers through every pivot.
-Ratio comparisons never need the divisors at all: within one row they cancel.
+gcd of the divisor with the row's content, instead of one divisor shared by
+the whole tableau in the style of Bareiss.  True tableau entries are ratios
+of basis minors, and how large the reduced rows get depends on the path of
+bases.  On the flip-symmetric n = 8, k = 4 program of `extremal` the largest
+entry has 20 bits after Dantzig's phase 1 from the all-artificial basis and
+7 bits from the even-weight-code start; at n = 10, k = 4 it has 112 bits
+after Dantzig's phase 1 and 9 bits from the code start, and 23 bits after
+the p = 6 solve from either.  Ratio comparisons never need the divisors at
+all: within one row they cancel.
 
 Entering columns follow Dantzig's largest-violation rule; leaving rows use
 the lexicographic ratio test anchored on the basis held at the start of the
@@ -50,9 +54,20 @@ class ExactSimplex:
     Constraint data must be integer.  Phase 1 runs once and is cached; each
     `maximize` resumes from the previous final basis when one exists, so
     several objectives against the same constraints stay cheap.
+
+    Phase 1 first pivots in the `start` columns, each on the first row whose
+    artificial is still basic and where the column has a nonzero entry, and
+    then runs the Dantzig loop, which stops at once when those columns make
+    a feasible basis.  Columns that are dependent, or whose basis has a
+    negative value, raise ValueError.
     """
 
-    def __init__(self, rows: Sequence[Sequence[int]], rhs: Sequence[int]):
+    def __init__(
+        self,
+        rows: Sequence[Sequence[int]],
+        rhs: Sequence[int],
+        start: Sequence[int] = (),
+    ):
         if not rows:
             raise ValueError("no constraint rows")
         n = len(rows[0])
@@ -64,10 +79,14 @@ class ExactSimplex:
             not isinstance(v, int) for v in rhs
         ):
             raise ValueError("constraint data must be integer")
+        start = tuple(start)
+        if any(not 0 <= j < n for j in start):
+            raise ValueError("start column out of range")
         self.n = n
         self.m = len(rows)
         self.rows = [list(r) for r in rows]
         self.rhs = list(rhs)
+        self.start = start
         # the feasible tableau each maximize starts from: phase 1's, then
         # the previous maximize's final one
         self._tableau: tuple[list[list[int]], list[int], list[int]] | None = None
@@ -99,6 +118,14 @@ class ExactSimplex:
         # objective row for maximizing -(sum of artificials)
         M.append([-sum(M[i][j] for i in range(m)) for j in range(width)])
         divs.append(1)
+        for col in self.start:
+            row = next((i for i in range(m) if basis[i] >= n and M[i][col]), None)
+            if row is None:
+                raise ValueError(f"start column {col} depends on the ones before it")
+            _pivot(M, divs, row, col)
+            basis[row] = col
+        if any(M[i][width - 1] < 0 for i in range(m)):
+            raise ValueError("start columns do not give a feasible basis")
         self._optimize(M, divs, basis, stop_at_zero=True)
         if M[m][width - 1] != 0:
             raise RuntimeError("program is infeasible")

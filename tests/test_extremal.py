@@ -86,6 +86,23 @@ class TestReducedProgram:
         assert all(isinstance(v, Interval) for v in prog.objective)
         assert prog.objective[0].lo == prog.objective[0].hi == 4 ** Fraction(5, 2)
 
+    def test_one_power_per_distinct_base(self, monkeypatch):
+        # |2m - n| takes n // 2 + 1 values over the n + 1 weight classes
+        p = Fraction(5, 2)
+        for n in (7, 8, 64):
+            want = [rational_power(Fraction(abs(2 * m - n)), p, 128) for m in range(n + 1)]
+            bases = []
+
+            def counted(x, e, prec, _real=rational_power):
+                bases.append(x)
+                return _real(x, e, prec)
+
+            monkeypatch.setattr(extremal, "rational_power", counted)
+            prog = reduced_lp(n, p, 2)
+            monkeypatch.undo()
+            assert len(bases) == len(set(bases)) == n // 2 + 1, n
+            assert [(v.lo, v.hi) for v in prog.objective] == [(v.lo, v.hi) for v in want]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             reduced_lp(0, 4, 1)
@@ -313,6 +330,53 @@ class TestFlipSymmetry:
         extremal._flip_solver.cache_clear()
         here = solve_full(6, 5, 3).to_json()
         assert json.loads(out) == here
+
+    @staticmethod
+    def code_start_applies(n, k):
+        """The even-weight code is a phase-1 basis of the flip program."""
+        kk = k - k % 2
+        return n % 2 == 0 and kk <= n - 2 and n <= 2 * kk + 2
+
+    def test_code_start_exactly_where_it_is_a_basis(self):
+        for n in range(1, 9):
+            for k in range(1, n + 1):
+                start = extremal._flip_solver(n, k - k % 2).start
+                if self.code_start_applies(n, k):
+                    half = 1 << (n - 1)
+                    assert len(start) == 1 << (n - 2), (n, k)
+                    assert all((x + half).bit_count() % 2 == 0 for x in start), (n, k)
+                else:
+                    assert start == (), (n, k)
+
+    def test_code_start_cells_agree_with_reduced(self):
+        for n in range(1, 9):
+            for k in range(1, n + 1):
+                if not self.code_start_applies(n, k):
+                    continue
+                for p in (2, 3, 4, 5):
+                    full = solve_full(n, p, k)
+                    red = solve_reduced(n, p, k)
+                    assert full.optimal_value == red.optimal_value, (n, p, k)
+                    assert full.certificate_ok is True and red.certificate_ok is True
+
+    def test_code_start_phase1_pivot_counts(self, monkeypatch):
+        # the 2^(n-2) code columns are the whole of phase 1: Dantzig's loop
+        # finds the prefix feasible and makes no further pivot
+        from kwise import simplex
+
+        real = simplex._pivot
+        pivots = []
+
+        def counted(*args):
+            pivots.append(args[2:])
+            real(*args)
+
+        monkeypatch.setattr(simplex, "_pivot", counted)
+        for n, k, want in ((8, 4, 64), (6, 2, 16)):
+            extremal._flip_solver.cache_clear()
+            pivots.clear()
+            extremal._flip_solver(n, k).prepare()
+            assert len(pivots) == want, (n, k)
 
     def test_perturbed_mass_fails_the_full_certificate(self, monkeypatch):
         # moving mass from x to ~x keeps every row of the flip-symmetric

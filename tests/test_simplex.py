@@ -252,3 +252,39 @@ def test_prepare_runs_phase1_once():
     assert solver.maximize([Fraction(1), Fraction(0)]).value == 1
     res = solver.maximize([Fraction(0), Fraction(1)])
     assert res.value == 1
+
+
+def test_start_columns_give_the_same_certified_optimum():
+    rows = [[2, 1, 0, 1], [1, 0, 1, 3]]
+    rhs = [4, 5]
+    c = [Fraction(1), Fraction(2), Fraction(0), Fraction(1)]
+    cold = ExactSimplex(rows, rhs).maximize(c)
+    # columns 1 and 2 alone meet both rows: x = (0, 4, 5, 0)
+    solver = ExactSimplex(rows, rhs, start=[1, 2])
+    solver.prepare()
+    assert solver._tableau[2] == [1, 2]
+    warm = solver.maximize(c)
+    assert warm.value == cold.value
+    assert verify_certificate(rows, rhs, c, warm.x, warm.y)
+
+
+def test_dependent_start_columns_are_rejected():
+    # column 2 is twice column 0 on both rows
+    solver = ExactSimplex([[1, 1, 2], [1, 0, 2]], [2, 1], start=[0, 2])
+    with pytest.raises(ValueError, match="depends"):
+        solver.prepare()
+    # a repeated column is dependent too
+    with pytest.raises(ValueError, match="depends"):
+        ExactSimplex([[1, 1], [1, -1]], [1, 0], start=[0, 0]).prepare()
+
+
+def test_infeasible_start_basis_is_rejected():
+    # the program is feasible at (0, 0, 1), but the basis {0, 1} solves to
+    # x0 = 2, x1 = -1
+    rows, rhs = [[1, 1, 1], [1, 2, 0]], [1, 0]
+    assert ExactSimplex(rows, rhs).maximize([0, 0, 1]).value == 1
+    solver = ExactSimplex(rows, rhs, start=[0, 1])
+    with pytest.raises(ValueError, match="feasible basis"):
+        solver.prepare()
+    with pytest.raises(ValueError, match="out of range"):
+        ExactSimplex([[1, 1]], [1], start=[2])
