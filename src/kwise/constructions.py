@@ -2,10 +2,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
-from math import comb
 
-from .core import MAX_DIMENSION, MAX_ENUMERATION, SampleSpace, uniform_cube
+from .core import MAX_DIMENSION, MAX_ENUMERATION, SampleSpace, WeightProfile, expand, uniform_cube
 
 
 def partition_space(n: int) -> SampleSpace:
@@ -16,15 +14,10 @@ def partition_space(n: int) -> SampleSpace:
         raise ValueError(f"partition law needs an even dimension >= 2, got {n}")
     if n > MAX_ENUMERATION:
         raise ValueError(f"dimension capped at {MAX_ENUMERATION}, got {n}")
-    unanimous = Fraction(1, 2 * n)
-    balanced = Fraction(n - 1, n) / comb(n, n // 2)
-    atoms = [(0, unanimous), ((1 << n) - 1, unanimous)]
-    for pos in combinations(range(n), n // 2):
-        bits = 0
-        for i in pos:
-            bits |= 1 << i
-        atoms.append((bits, balanced))
-    return SampleSpace(n, atoms)
+    q = [Fraction(0)] * (n + 1)
+    q[0] = q[n] = Fraction(1, 2 * n)
+    q[n // 2] = Fraction(n - 1, n)
+    return expand(WeightProfile(n, tuple(q)))
 
 
 def xor_sign(n: int, seed_sign: int, seed_mask: int, j: int) -> int:
@@ -33,6 +26,19 @@ def xor_sign(n: int, seed_sign: int, seed_mask: int, j: int) -> int:
     if not 0 <= j < (1 << n):
         raise ValueError(f"coordinate {j} out of range for 2^{n} coordinates")
     return -seed_sign if (seed_mask & j).bit_count() & 1 else seed_sign
+
+
+def xor_pattern(n: int, seed_sign: int, seed_mask: int) -> int:
+    """All 2^n values of `xor_sign` as one sign bitmask (bit j set means
+    coordinate j is +1), built by n doublings: coordinates j and j + 2^i,
+    for j < 2^i, differ exactly when bit i of the seed mask is set."""
+    even = 1  # coordinates with an even count of listed seeds; 0 lists none
+    width = 1
+    for i in range(n):
+        top = even ^ ((1 << width) - 1) if (seed_mask >> i) & 1 else even
+        even |= top << width
+        width <<= 1
+    return even if seed_sign == 1 else even ^ ((1 << width) - 1)
 
 
 def xor_space(n: int) -> SampleSpace:
@@ -46,14 +52,8 @@ def xor_space(n: int) -> SampleSpace:
     if dim > MAX_DIMENSION:
         raise ValueError(f"2^{n} coordinates exceed the dimension cap {MAX_DIMENSION}")
     share = Fraction(1, 1 << (n + 1))
-    atoms = []
-    for seeds in range(1 << (n + 1)):
-        sign, mask = 1 - 2 * (seeds & 1), seeds >> 1
-        bits = 0
-        for j in range(dim):
-            if xor_sign(n, sign, mask, j) == 1:
-                bits |= 1 << j
-        atoms.append((bits, share))
+    atoms = [(xor_pattern(n, 1 - 2 * (seeds & 1), seeds >> 1), share)
+             for seeds in range(1 << (n + 1))]
     return SampleSpace(dim, atoms)
 
 

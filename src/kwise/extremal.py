@@ -82,16 +82,19 @@ def reduced_lp(n: int, p, k: int, prec: int = DEFAULT_PREC) -> ReducedLp:
     Integer p gives exact integer objective coefficients |2m - n|^p; other
     rational p gives certified Interval coefficients at precision `prec`.
     """
-    _validate(n, p, k, MAX_REDUCED_DIMENSION)
-    pf = Fraction(p)
+    pf = _validate(n, p, k, MAX_REDUCED_DIMENSION)
     rows, rhs = _reduced_rows(n, k)
-    if pf.denominator == 1:
-        obj = tuple(abs(2 * m - n) ** int(pf) for m in range(n + 1))
-    else:
-        # |2m - n| = |2(n - m) - n|: one power per distinct base
-        memo = {b: rational_power(Fraction(b), pf, prec) for b in range(n % 2, n + 1, 2)}
-        obj = tuple(memo[abs(2 * m - n)] for m in range(n + 1))
-    return ReducedLp(n, k, obj, rows, rhs)
+    obj = _powers([abs(2 * m - n) for m in range(n + 1)], pf, prec)
+    return ReducedLp(n, k, tuple(obj), rows, rhs)
+
+
+def _powers(bases, p: Fraction, prec: int) -> list:
+    """b**p for each base b >= 0: exact for integer p, otherwise one
+    `rational_power` enclosure per distinct base."""
+    if p.denominator == 1:
+        return [b ** int(p) for b in bases]
+    memo = {b: rational_power(Fraction(b), p, prec) for b in dict.fromkeys(bases)}
+    return [memo[b] for b in bases]
 
 
 def _validate(n, p, k, n_cap) -> Fraction:
@@ -124,6 +127,11 @@ class LpSolution:
     `certificate_ok` records the outcome of that check.  On the unreduced
     route the dual is aligned with `full_constraint_labels` and is 0 on every
     odd-size label, since the solve runs on the flip-symmetric program.
+
+    A reduced solution is history-free.  A full one is not: its solver is
+    kept per (n, k - k mod 2) and resumes from the last objective's basis,
+    so a non-unique optimum may come back as another optimal law with the
+    same value and `certificate_ok`.
     """
 
     kind: str
@@ -155,34 +163,27 @@ class LpSolution:
         return out
 
 
-@lru_cache(maxsize=None)
-def _reduced_solver(n: int, k: int) -> ExactSimplex:
-    rows, rhs = _reduced_rows(n, k)
-    return ExactSimplex([list(r) for r in rows], list(rhs))
-
-
-def _solve(solver, objective, check):
-    """One solver pass and one certificate check.  Returns
-    (value, x, dual, certificate_ok), where `check(c, x, y)` decides the
-    certificate of x and the dual y for the coefficients c actually solved.
+def _solve(solver: ExactSimplex, objective):
+    """One solver pass.  Returns (c, result, value): the coefficients c
+    actually solved, the solver's result for them, and the value, which the
+    caller certifies by checking result.x and result.y against c.
 
     Interval coefficients are solved once, at their midpoints.  With x and y
     the midpoint optimizer and dual, the value is the weak-duality enclosure
     [c_lo.x, b.y + max(0, max_j (c_hi - A^T y)_j)].  Invariant: row 0 of
     every program solved here is the all-ones normalization row with
     right-hand side 1, so raising y_0 by the shift makes any y dual-feasible
-    for c_hi."""
+    for c_hi.  A fresh solver makes the result history-free; a warm one may
+    return another optimal vertex of a non-unique optimum."""
     exact = not isinstance(objective[0], Interval)
     c = [Fraction(v) for v in objective] if exact else [v.midpoint for v in objective]
     res = solver.maximize(c)
-    ok = check(c, res.x, res.y)
     if exact:
-        return res.value, res.x, res.y, ok
+        return c, res, res.value
     lo = sum((v.lo * xj for v, xj in zip(objective, res.x) if xj), Fraction(0))
     slack, den = reduced_costs(solver.rows, res.y, [v.hi for v in objective])
     by = sum((yi * b for yi, b in zip(res.y, solver.rhs) if yi), Fraction(0))
-    value = Interval(lo, by + Fraction(max(0, -min(slack)), den))
-    return value, res.x, res.y, ok
+    return c, res, Interval(lo, by + Fraction(max(0, -min(slack)), den))
 
 
 def solve_reduced(
@@ -196,23 +197,20 @@ def solve_reduced(
 
     All-ones weights; the optimum over weight profiles q_0..q_n.  Exact for
     integer p.  With `check_unique` the optimal face is probed and `unique`
-    is filled in (integer p only)."""
+    is filled in (integer p only).  Each call solves a fresh program of k+1
+    rows, so the optimizer, dual and `unique` do not depend on anything the
+    process solved before."""
     program = reduced_lp(n, p, k, prec)
-    solver = _reduced_solver(n, k)
-    value, x, dual, cert_ok = _solve(
-        solver,
-        program.objective,
-        lambda c, x, y: verify_certificate(program.rows, program.rhs, c, x, y),
-    )
+    c, res, value = _solve(ExactSimplex(program.rows, program.rhs), program.objective)
     sol = LpSolution(
         kind="reduced",
         n=n,
         p=Fraction(p),
         k=k,
         optimal_value=value,
-        optimizer=WeightProfile(n, x),
-        dual=dual,
-        certificate_ok=cert_ok,
+        optimizer=WeightProfile(n, res.x),
+        dual=res.y,
+        certificate_ok=verify_certificate(program.rows, program.rhs, c, res.x, res.y),
         note=ODD_DIMENSION_NOTE if n % 2 else None,
         prec=prec,
     )
@@ -323,40 +321,20 @@ def solve_full(
     half = 1 << (n - 1)
     flip = (1 << n) - 1
     sums, den = _signed_sums(a)
-    dots = [Fraction(abs(v), den) for v in sums[half:]]
-    if pf.denominator == 1:
-        e = int(pf)
-        objective = [v**e for v in dots]
-    else:
-        memo: dict[Fraction, Interval] = {}
-        objective = []
-        for v in dots:
-            if v not in memo:
-                memo[v] = rational_power(v, pf, prec)
-            objective.append(memo[v])
+    objective = _powers([Fraction(abs(v), den) for v in sums[half:]], pf, prec)
     solver = _flip_solver(n, k - k % 2)
     solver.prepare()
-    # the column of atom x: its own pair, whichever member it is
+    c, res, value = _solve(solver, objective)
+    # atom x takes half the mass of its pair's column, whichever member it is
     pair = [(x if x >= half else x ^ flip) - half for x in range(1 << n)]
-
-    law: list[Fraction] = []
-
-    def lift(y):
-        """Dual on the unreduced rows: zero on every odd-size label."""
-        even = iter(y)
-        return tuple(
-            next(even) if len(t) % 2 == 0 else Fraction(0)
-            for t in full_constraint_labels(n, k)
-        )
-
-    def check(c, q, y):
-        """Certificate on the unreduced rows; the law it checks, built once
-        over all 2^n atoms, is the one returned."""
-        law[:] = [q[j] / 2 for j in pair]
-        rows, rhs, _ = _full_rows(n, k)
-        return verify_certificate(rows, rhs, [c[j] for j in pair], law, lift(y))
-
-    value, _, dual, cert_ok = _solve(solver, objective, check)
+    law = [res.x[j] / 2 for j in pair]
+    # the dual on the unreduced rows: zero on every odd-size label
+    even = iter(res.y)
+    dual = tuple(
+        next(even) if len(t) % 2 == 0 else Fraction(0) for t in full_constraint_labels(n, k)
+    )
+    rows, rhs, _ = _full_rows(n, k)
+    cert_ok = verify_certificate(rows, rhs, [c[j] for j in pair], law, dual)
     masses = {x: v for x, v in enumerate(law) if v}
     return LpSolution(
         kind="full",
@@ -365,7 +343,7 @@ def solve_full(
         k=k,
         optimal_value=value,
         optimizer=SampleSpace(n, masses),
-        dual=lift(dual),
+        dual=dual,
         certificate_ok=cert_ok,
         note=ODD_DIMENSION_NOTE if n % 2 else None,
         prec=prec,

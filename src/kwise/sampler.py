@@ -15,7 +15,7 @@ from math import sqrt
 from typing import Iterator, Optional
 
 from .core import MAX_DIMENSION, SignVector
-from .constructions import xor_sign
+from .constructions import xor_pattern, xor_sign
 from .moments import Weights
 
 _MASK64 = (1 << 64) - 1
@@ -140,11 +140,7 @@ class Stream:
                 f"xor dimension 2^{n} = {dim} exceeds {MAX_DIMENSION}; "
                 "use draw_lazy for coordinate access"
             )
-        bits = 0
-        for j in range(dim):
-            if draw.sign(j) > 0:
-                bits |= 1 << j
-        return bits
+        return xor_pattern(n, draw.seed_sign, draw.seed_mask)
 
     def draw(self) -> SignVector:
         return SignVector(self.spec.dimension, self.draw_bits())

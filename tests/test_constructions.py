@@ -10,6 +10,7 @@ from kwise.constructions import (
     independent_space,
     partition_space,
     xor_pairwise_table,
+    xor_pattern,
     xor_seed_coefficient,
     xor_sign,
     xor_space,
@@ -51,18 +52,19 @@ def test_xor_space_dimensions(n):
 
 
 def test_xor_space_atoms_match_lazy_signs():
-    n = 3
-    space = xor_space(n)
-    seen = set()
-    for v, _ in space.items():
-        seen.add(v.bits)
-    for seed_sign in (1, -1):
-        for mask in range(1 << n):
-            bits = 0
-            for j in range(1 << n):
-                if xor_sign(n, seed_sign, mask, j) > 0:
-                    bits |= 1 << j
-            assert bits in seen
+    # every seed pattern equals its coordinate-by-coordinate reference, and
+    # the patterns are exactly the atoms of the space
+    for n in range(1, 6):
+        patterns = set()
+        for seed_sign in (1, -1):
+            for mask in range(1 << n):
+                bits = 0
+                for j in range(1 << n):
+                    if xor_sign(n, seed_sign, mask, j) > 0:
+                        bits |= 1 << j
+                assert xor_pattern(n, seed_sign, mask) == bits, (n, seed_sign, mask)
+                patterns.add(bits)
+        assert set(xor_space(n).masses) == patterns, n
 
 
 def test_xor_sign_first_coordinate_is_seed():

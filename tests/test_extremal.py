@@ -217,6 +217,37 @@ class TestOptimizer:
             uniqueness_check(good, 6, 4, 3)  # dual length mismatch
 
 
+class TestHistory:
+    """What an earlier solve in the same process may change."""
+
+    def test_reduced_route_has_no_history(self):
+        # a non-unique optimum: at n = 12, k = 4, p = 6 the mirror images
+        # m -> n - m of an optimizer are optimal too
+        def fingerprint():
+            sol = solve_reduced(12, 6, 4, check_unique=True)
+            return sol.optimal_value, sol.optimizer, sol.dual, sol.unique
+
+        first = fingerprint()
+        for p in (3, 4, 7, 2, 9):
+            solve_reduced(12, p, 4)
+        assert fingerprint() == first
+
+    def test_full_route_keeps_value_and_certificate(self):
+        # the flip solver is shared by k and k + 1 for even k and resumes
+        # from the previous objective's basis, so a non-unique optimizer may
+        # move; the value and the certificate may not
+        cases = ((7, 4, 3, ((5, 4), (4, 5))), (7, 4, 4, ((3, 4), (6, 5))),
+                 (8, 2, 3, ((4, 2), (5, 3), (6, 2))), (8, 2, 6, ((3, 3), (4, 2))))
+        for n, k, p, others in cases:
+            extremal._flip_solver.cache_clear()
+            fresh = solve_full(n, p, k)
+            for q, k2 in others:
+                solve_full(n, q, k2)
+            again = solve_full(n, p, k)
+            assert again.optimal_value == fresh.optimal_value, (n, k, p)
+            assert fresh.certificate_ok is True and again.certificate_ok is True
+
+
 class TestFullProgram:
     def test_constraint_labels(self):
         labels = full_constraint_labels(4, 2)
