@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .bounds import haagerup_constant, interpolation_bound, sharp_pairwise_value
 from .constructions import independent_space, partition_space, xor_space
-from .core import DIGITS, _frac_str, _value_json
+from .core import DIGITS, MAX_ENUMERATION, _frac_str, _value_json
 from .extremal import solve_full, solve_reduced
 from .independence import check_kwise
 from .intervals import DEFAULT_PREC
@@ -29,7 +29,8 @@ from .sampler import Stream, StreamSpec, estimate_moment
 # and set from measured time (2-core host, Python 3.11): at |p| = 4095 an
 # n = 10000 reduced program takes about 10 s and 280 MB; at 1024 bits a
 # Stirling-series haagerup bound takes about 2 s (17 s at 2048); a million
-# xor draws take about 20 s.
+# xor draws take about 20 s.  The --n of an explicit law (construct, verify,
+# moment) is capped at MAX_ENUMERATION, set from memory.
 MAX_P_TERM = 4096  # numerator and denominator of --p
 MAX_PRECISION_BITS = 1024
 MAX_SAMPLES = 1_000_000
@@ -249,18 +250,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="build a named sample space")
     p.add_argument("--construct", choices=sorted(CONSTRUCTIONS), required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_up_to(MAX_ENUMERATION), required=True)
     fmt(p)
 
     p = sub.add_parser("verify", help="check k-wise independence of a construction")
     p.add_argument("--construct", choices=sorted(CONSTRUCTIONS), required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_up_to(MAX_ENUMERATION), required=True)
     p.add_argument("--k", type=int, required=True)
     fmt(p)
 
     p = sub.add_parser("moment", help="exact p-th moment of a weighted sign sum")
     p.add_argument("--construct", choices=sorted(CONSTRUCTIONS), required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_up_to(MAX_ENUMERATION), required=True)
     p.add_argument("--p", type=_fraction, required=True)
     p.add_argument("--a", type=_weights, help="comma-separated rational weights")
     fmt(p)

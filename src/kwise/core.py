@@ -7,9 +7,10 @@ order so that serialization and equality are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .intervals import Interval
@@ -17,9 +18,10 @@ from .intervals import Interval
 Rational = Fraction
 
 # Sign vectors live in a machine word; explicit-support expansion is capped
-# separately because 2^n atoms get large much sooner than n does.
+# separately because 2^n atoms get large much sooner than n does: the
+# uniform law at n = 20 peaks at about 0.5 GB (about 0.5 KB per atom).
 MAX_DIMENSION = 63
-MAX_ENUMERATION = 24
+MAX_ENUMERATION = 20
 
 # decimal places of every printed interval endpoint
 DIGITS = 40
@@ -188,8 +190,26 @@ class WeightProfile:
         return cls(data["n"], tuple(Fraction(s) for s in data["q"]))
 
 
+def integer_masses(space: SampleSpace) -> tuple[int, list[tuple[int, int]]]:
+    """The law's masses over their common denominator: returns (den, atoms)
+    with atoms [(bits, numerator), ...] in bit-mask order, so that the mass
+    of bits is numerator / den and the numerators sum to den."""
+    den = lcm(*(p.denominator for p in space.masses.values()))
+    return den, [(bits, p.numerator * (den // p.denominator))
+                 for bits, p in space.masses.items()]
+
+
+def _int_str(v: int) -> str:
+    try:
+        return str(v)
+    except ValueError:
+        # more digits than sys.get_int_max_str_digits(); decimal's own
+        # conversion has no such limit and prints the same digits
+        return str(Decimal(v))
+
+
 def _frac_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
+    return f"{_int_str(f.numerator)}/{_int_str(f.denominator)}"
 
 
 def _value_json(value: Union[Fraction, Interval], bits: int):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, lcm
+from math import comb
 from typing import Optional, Union
 
 from .core import SampleSpace, SignVector, WeightProfile, _frac_str, _value_json
@@ -281,8 +281,7 @@ def _signed_sums(a: Weights) -> tuple[list[int], int]:
     weights' common denominator: returns (s, den) with <a, x> = s[x] / den.
     One pass over 2^n: adding x's lowest set bit turns that coordinate's
     sign from -1 to +1."""
-    den = lcm(*(w.denominator for w in a.a))
-    w = [int(v * den) for v in a.a]
+    den, w = a.integer_form()
     s = [-sum(w)] * (1 << a.n)
     for x in range(1, 1 << a.n):
         low = x & -x

@@ -4,6 +4,11 @@ Two equivalent routes are provided on purpose: the parity route inspects
 Fourier coefficients E[prod_{i in T} x_i] directly, the marginal route
 compares every small projection against the uniform product law.  Tests hold
 them against each other.
+
+The parity route works on integers: the masses are put over their common
+denominator D once per call, each coefficient is a signed sum of integer
+numerators, and a Fraction is built only for a nonzero coefficient that is
+returned.
 """
 from __future__ import annotations
 
@@ -12,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional
 
-from .core import SampleSpace, _frac_str, project_marginal
+from .core import SampleSpace, _frac_str, integer_masses, project_marginal
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,6 +44,28 @@ class IndependenceReport:
         return {"k_verified": self.k_verified, "witness": wit}
 
 
+def _parity_sum(den: int, atoms: list[tuple[int, int]], mask: int) -> int:
+    """den * E[prod_{i in mask} x_i] for atoms (bits, numerator) over den.
+
+    An atom's product is -1 when mask holds an odd number of its minus
+    signs, that is when |mask| and |mask & bits| differ in parity.  The
+    numerators sum to den, so only those with odd |mask & bits| are added
+    up."""
+    odd = 0
+    for bits, num in atoms:
+        if (mask & bits).bit_count() & 1:
+            odd += num
+    total = den - 2 * odd
+    return -total if mask.bit_count() & 1 else total
+
+
+def _mask(coords: Iterable[int]) -> int:
+    mask = 0
+    for i in coords:
+        mask |= 1 << i
+    return mask
+
+
 def fourier_coefficient(space: SampleSpace, coords: Iterable[int]) -> Fraction:
     """E[prod_{i in T} x_i] as an exact rational."""
     mask = 0
@@ -48,23 +75,20 @@ def fourier_coefficient(space: SampleSpace, coords: Iterable[int]) -> Fraction:
         if (mask >> i) & 1:
             raise ValueError(f"repeated coordinate {i}")
         mask |= 1 << i
-    size = mask.bit_count()
-    total = Fraction(0)
-    for bits, p in space.masses.items():
-        minus = size - (mask & bits).bit_count()
-        total += -p if minus & 1 else p
-    return total
+    den, atoms = integer_masses(space)
+    return Fraction(_parity_sum(den, atoms, mask), den)
 
 
 def check_kwise(space: SampleSpace, k: int) -> IndependenceReport:
     """Parity route: every coordinate set of size 1..k must average to 0."""
     if not 1 <= k <= space.n:
         raise ValueError(f"independence level must be in [1, {space.n}], got {k}")
+    den, atoms = integer_masses(space)
     for size in range(1, k + 1):
         for coords in combinations(range(space.n), size):
-            value = fourier_coefficient(space, coords)
-            if value != 0:
-                return IndependenceReport(k, size - 1, (coords, value))
+            total = _parity_sum(den, atoms, _mask(coords))
+            if total:
+                return IndependenceReport(k, size - 1, (coords, Fraction(total, den)))
     return IndependenceReport(k, k, None)
 
 
@@ -88,11 +112,12 @@ def check_kwise_marginal(space: SampleSpace, k: int) -> IndependenceReport:
 
 def _marginal_witness(space, coords):
     # a non-uniform marginal forces some nonzero parity inside it
+    den, atoms = integer_masses(space)
     for size in range(1, len(coords) + 1):
         for sub in combinations(coords, size):
-            value = fourier_coefficient(space, sub)
-            if value != 0:
-                return (sub, value)
+            total = _parity_sum(den, atoms, _mask(sub))
+            if total:
+                return (sub, Fraction(total, den))
     raise AssertionError("non-uniform marginal without a parity witness")
 
 

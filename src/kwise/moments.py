@@ -3,10 +3,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Sequence, Union
 
-from .core import SampleSpace
+from .core import SampleSpace, integer_masses
 from .intervals import DEFAULT_PREC, Interval, rational_power
 
 Value = Union[Fraction, Interval]
@@ -43,6 +43,12 @@ class Weights:
     @classmethod
     def from_strings(cls, parts: Sequence[str]) -> "Weights":
         return cls(tuple(Fraction(s) for s in parts))
+
+    def integer_form(self) -> tuple[int, list[int]]:
+        """(den, w) with a_i = w[i] / den: the weights as integer numerators
+        over their common denominator."""
+        den = lcm(*(v.denominator for v in self.a))
+        return den, [v.numerator * (den // v.denominator) for v in self.a]
 
     def dot_bits(self, bits: int) -> Fraction:
         """Signed sum for the sign vector encoded by ``bits``."""
@@ -96,26 +102,41 @@ def pth_moment(space: SampleSpace, weights: Weights, p,
     p = _check_p(p)
     if weights.n != space.n:
         raise ValueError(f"weight dimension {weights.n} != space dimension {space.n}")
+    den, atoms = integer_masses(space)
+    wden, w = weights.integer_form()
+    # |<a, x>| * wden for the sign vector x of each atom: the weights on its
+    # plus signs less those on its minus signs
+    wsum = sum(w)
+    dots = [abs(2 * _plus_sum(w, bits) - wsum) for bits, _ in atoms]
     if p.denominator == 1:
         k = p.numerator
-        value = Fraction(0)
-        for bits, prob in space.masses.items():
-            value += prob * abs(weights.dot_bits(bits)) ** k
+        total = sum(num * dot**k for (_, num), dot in zip(atoms, dots))
+        value = Fraction(total, den * wden**k)
         return MomentResult(p, value, ratio_from_moment(value, p, weights.l2sq, prec))
     # the mass on each distinct |<a, x>|, so that each root is taken once
-    mass: dict[Fraction, Fraction] = {}
-    for bits, prob in space.masses.items():
-        dot = abs(weights.dot_bits(bits))
-        mass[dot] = mass.get(dot, Fraction(0)) + prob
+    mass: dict[int, int] = {}
+    for (_, num), dot in zip(atoms, dots):
+        mass[dot] = mass.get(dot, 0) + num
+    terms = [(Fraction(num, den), Fraction(dot, wden)) for dot, num in mass.items()]
     work = prec
     while True:
         value = Interval.point(0)
-        for dot, prob in mass.items():
+        for prob, dot in terms:
             value = value + prob * rational_power(dot, p, work)
         if value.hi == 0 or value.width * (1 << REL_TOL_BITS) <= value.hi:
             break
         work *= 2
     return MomentResult(p, value, ratio_from_moment(value, p, weights.l2sq, prec))
+
+
+def _plus_sum(w: list[int], bits: int) -> int:
+    """Sum of w[i] over the coordinates i set in bits."""
+    total = 0
+    while bits:
+        low = bits & -bits
+        total += w[low.bit_length() - 1]
+        bits ^= low
+    return total
 
 
 def khintchine_ratio(space: SampleSpace, weights: Weights, p,

@@ -117,6 +117,22 @@ class TestInputBounds:
         assert code == 0
         assert json.loads(out)["value"]["bits"] == MAX_PRECISION_BITS
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("construct",),
+            ("verify", "--k", "2"),
+            ("moment", "--p", "4"),
+        ],
+    )
+    def test_explicit_law_above_cap_is_usage_error(self, capsys, argv):
+        # 2^21 atoms would take about 1 GB
+        code, out, err = invoke(capsys, *argv, "--construct", "independent", "--n", "21")
+        assert code == 2
+        assert out == ""
+        assert "usage:" in err and "--n" in err
+        assert "Traceback" not in err
+
     def test_reduced_flag_is_gone(self, capsys):
         code, _, err = invoke(capsys, "constant", "--n", "4", "--p", "4", "--k", "2", "--reduced")
         assert code == 2
@@ -143,6 +159,26 @@ class TestLargeOrders:
         assert time.perf_counter() - start < 5
         assert code == 0
         json.loads(out)
+
+
+class TestLargeLaws:
+    """Parity sums over a 2^16-atom law run on integer numerators."""
+
+    def test_independent_sixteen_verifies_under_ten_seconds(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = invoke(capsys, "verify", "--construct", "independent", "--n", "16", "--k", "2")
+        assert time.perf_counter() - start < 10
+        assert code == 0
+        assert json.loads(out) == {"k_verified": 2, "witness": None}
+
+
+class TestLongExactValues:
+    def test_value_beyond_int_string_limit_prints(self, capsys):
+        # 2000^3999 has 13201 digits, beyond the interpreter's default 4300
+        code, out, err = invoke(capsys, "constant", "--n", "2000", "--p", "4000", "--k", "2")
+        assert code == 0, err
+        # n^(p-1) at k = 2 and even n; 2000^3999 = 2^3999 * 10^11997
+        assert json.loads(out)["value"] == str(2**3999) + "0" * 11997 + "/1"
 
 
 class TestBrokenPipe:

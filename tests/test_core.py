@@ -10,7 +10,9 @@ from kwise.core import (
     SampleSpace,
     SignVector,
     WeightProfile,
+    _frac_str,
     expand,
+    integer_masses,
     project_marginal,
     symmetrize,
     uniform_cube,
@@ -67,6 +69,18 @@ def test_sample_space_json_roundtrip():
     again = SampleSpace.from_json(space.to_json())
     assert again.n == 3
     assert again.masses == space.masses
+
+
+def test_integer_masses_share_one_denominator():
+    space = SampleSpace(2, [(0b00, Fraction(1, 6)), (0b01, Fraction(1, 4)), (0b11, Fraction(7, 12))])
+    assert integer_masses(space) == (12, [(0b00, 2), (0b01, 3), (0b11, 7)])
+    assert integer_masses(uniform_cube(2)) == (4, [(0, 1), (1, 1), (2, 1), (3, 1)])
+
+
+def test_long_fractions_print_every_digit():
+    # beyond the interpreter's default limit of 4300 digits for str(int)
+    assert _frac_str(Fraction(-10**5000, 3)) == "-1" + "0" * 5000 + "/3"
+    assert _frac_str(Fraction(7, 10**5000)) == "7/1" + "0" * 5000
 
 
 def test_uniform_cube_masses():

@@ -26,6 +26,36 @@ def brute_coefficient(space, coords):
     return total
 
 
+def brute_report(space, k):
+    """(k_requested, k_verified, witness) of the parity route, from the
+    definition: the first nonzero coefficient by size, then lexicographically."""
+    for size in range(1, k + 1):
+        for T in combinations(range(space.n), size):
+            value = brute_coefficient(space, T)
+            if value != 0:
+                return k, size - 1, (T, value)
+    return k, k, None
+
+
+@st.composite
+def rational_laws(draw):
+    """Laws on at most 6 coordinates with mixed denominators, averaged over
+    the flips by a few random coordinate masks, so that many low-order
+    parities vanish and witnesses turn up at every level."""
+    n = draw(st.integers(1, 6))
+    atoms = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=10, unique=True))
+    flips = {0}
+    for g in draw(st.lists(st.integers(1, (1 << n) - 1), max_size=5)):
+        flips |= {h ^ g for h in flips}
+    table = {}
+    for x in atoms:
+        w = Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 12)))
+        for g in flips:
+            table[x ^ g] = table.get(x ^ g, 0) + w
+    total = sum(table.values())
+    return SampleSpace(n, [(x, w / total) for x, w in table.items()])
+
+
 @given(st.integers(1, 5), st.data())
 def test_fourier_coefficient_matches_brute_force(n, data):
     atoms = data.draw(
@@ -36,6 +66,16 @@ def test_fourier_coefficient_matches_brute_force(n, data):
     coords = tuple(sorted(data.draw(
         st.sets(st.integers(0, n - 1), min_size=size, max_size=size))))
     assert fourier_coefficient(space, coords) == brute_coefficient(space, coords)
+
+
+@given(rational_laws())
+def test_parity_route_matches_oracle_on_rational_laws(space):
+    for size in range(space.n + 1):
+        for T in combinations(range(space.n), size):
+            assert fourier_coefficient(space, T) == brute_coefficient(space, T)
+    for k in range(1, space.n + 1):
+        report = check_kwise(space, k)
+        assert (report.k_requested, report.k_verified, report.witness) == brute_report(space, k)
 
 
 def test_fourier_coefficient_empty_set_is_one():
@@ -101,6 +141,12 @@ def test_marginal_check_agrees_with_parity_check():
         space = partition_space(n)
         assert check_kwise_marginal(space, 2).passed
         assert check_kwise_marginal(space, min(3, n)).passed
+
+
+@given(rational_laws())
+def test_marginal_check_agrees_with_parity_check_on_rational_laws(space):
+    for k in range(1, space.n + 1):
+        assert check_kwise_marginal(space, k) == check_kwise(space, k)
 
 
 def test_marginal_check_finds_biased_pair():

@@ -6,9 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kwise.constructions import partition_space
-from kwise.core import uniform_cube
-from kwise.intervals import Interval, nth_root
+from kwise.core import SampleSpace, uniform_cube
+from kwise.intervals import DEFAULT_PREC, Interval, nth_root, rational_power
 from kwise.moments import (
+    REL_TOL_BITS,
     Weights,
     even_moment_independent,
     khintchine_ratio,
@@ -56,6 +57,40 @@ def test_integer_moment_matches_brute_force(n, p, data):
     result = pth_moment(space, a, p)
     assert isinstance(result.value, Fraction)
     assert result.value == brute_moment(space, a, p)
+
+
+def fraction_moment(space, a, p):
+    """The moment summed in Fractions atom by atom: exact for integer p, and
+    for other p one root per distinct |<a, x>|, retried at doubled precision
+    until the relative width is below 2**-REL_TOL_BITS."""
+    if p.denominator == 1:
+        return brute_moment(space, a, p.numerator)
+    mass = {}
+    for bits, m in space.masses.items():
+        dot = abs(a.dot_bits(bits))
+        mass[dot] = mass.get(dot, Fraction(0)) + m
+    work = DEFAULT_PREC
+    while True:
+        value = Interval.point(0)
+        for dot, m in mass.items():
+            value = value + m * rational_power(dot, p, work)
+        if value.hi == 0 or value.width * (1 << REL_TOL_BITS) <= value.hi:
+            return value
+        work *= 2
+
+
+@given(st.integers(1, 6), st.data())
+def test_moment_on_rational_laws_is_the_fraction_sum(n, data):
+    """Integer numerators over common denominators give the same Fraction,
+    and the same Interval, as summing Fractions atom by atom."""
+    atoms = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=10, unique=True))
+    raw = [Fraction(data.draw(st.integers(1, 9)), data.draw(st.integers(1, 12))) for _ in atoms]
+    space = SampleSpace(n, [(x, w / sum(raw)) for x, w in zip(atoms, raw)])
+    a = Weights(tuple(data.draw(
+        st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=6),
+                 min_size=n, max_size=n).filter(any))))
+    p = data.draw(st.sampled_from([Fraction(1), Fraction(3), Fraction(4), Fraction(5, 2), Fraction(7, 3)]))
+    assert pth_moment(space, a, p).value == fraction_moment(space, a, p)
 
 
 def test_second_moment_is_l2_norm_squared():
