@@ -1,4 +1,7 @@
 """Command-line interface: output shapes, formats, determinism, exit codes."""
+import contextlib
+import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -9,8 +12,8 @@ from pathlib import Path
 import pytest
 
 import kwise
-from kwise.cli import MAX_P_TERM, MAX_PRECISION_BITS, MAX_SAMPLES, run
-from kwise.sampler import StreamSpec, estimate_moment
+from kwise.cli import MAX_P_TERM, MAX_PRECISION_BITS, MAX_SAMPLES, _emit, run
+from kwise.sampler import Stream, StreamSpec, estimate_moment
 
 
 def invoke(capsys, *argv):
@@ -354,6 +357,27 @@ class TestSampleAndEstimate:
         for r in rows:
             assert len(r["signs"]) == 4
             assert set(r["signs"]) <= {"+", "-"}
+
+    @pytest.mark.parametrize("kind,n,samples,seed,digests", [
+        ("partition", 6, 1000, 5, ("458b07e9a2512ba6", "3357492b5c851888", "e91c7c506f0228f6")),
+        ("xor", 3, 12, 0, ("c6c1712a9db62ade", "6ba9cbcdbcf35196", "54af523db9293c1c")),
+        # draw numbers outgrow the "draw" heading; one-character signs pad
+        ("independent", 1, 10001, 8, ("207761e8d8b866fe", "52b15d4ca3fb2ad6", "bc49f525f9c6ff1e")),
+        ("independent", 63, 3, 0, ("bee770301ea3a853", "b3d9d847aec0a495", "d05e98f0611aeaab")),
+    ])
+    def test_sample_bytes_equal_the_row_list_rendering(self, capsys, kind, n, samples, seed,
+                                                       digests):
+        # the digests were recorded when every row was built before printing
+        stream = Stream(StreamSpec(kind, n, seed))
+        rows = [{"draw": i, "signs": str(stream.draw())} for i in range(samples)]
+        for fmt, digest in zip(("json", "csv", "table"), digests):
+            code, out, _ = invoke(capsys, "sample", "--kind", kind, "--n", str(n),
+                                  "--samples", str(samples), "--seed", str(seed),
+                                  "--format", fmt)
+            assert code == 0
+            _emit(rows, fmt)
+            assert out == capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
     def test_estimate_matches_library(self, capsys):
         code, out, _ = invoke(

@@ -1,4 +1,5 @@
 """Streaming draws and Monte Carlo moment estimates."""
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -218,3 +219,108 @@ class TestEstimateMoment:
         assert float(data["mean"]) == est.mean
         assert float(data["std_error"]) == est.std_error
         assert data["samples"] == 1_000
+
+
+# -- golden stream ------------------------------------------------------------
+# Every word, draw and estimate below is part of the determinism contract:
+# the same (kind, n, seed) gives the same sequence in every release.  The
+# pinned values were recorded from the one-word-at-a-time generator; a faster
+# generator must reproduce them bit for bit.
+
+
+def _splitmix64_reference(seed, count):
+    """Steele, Lea and Flood (2014), one word at a time."""
+    mask = (1 << 64) - 1
+    state = seed & mask
+    out = []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out
+
+
+def _digest(values):
+    return hashlib.sha256(repr(list(values)).encode()).hexdigest()[:16]
+
+
+_FRACTIONAL_WEIGHTS = [Fraction(i % 5 + 1, i % 3 + 1) for i in range(63)]
+
+
+class TestGoldenStream:
+    @pytest.mark.parametrize("seed", [0, 1, 1 << 63, (1 << 64) - 1, 1 << 64])
+    def test_words_follow_the_scalar_recurrence(self, seed):
+        count = 3 * 256 + 8  # crosses several blocks of buffered words
+        g = SplitMix64(seed)
+        assert [g.next_u64() for _ in range(count)] == _splitmix64_reference(seed, count)
+
+    @pytest.mark.parametrize("kind,n,seed,head,digest", [
+        ("partition", 2, 0, [0x1, 0x1, 0x1], "2a1cccaf6c4be2af"),
+        ("partition", 2, 12345, [0x3, 0x0, 0x0], "8111094120fc499a"),
+        ("partition", 6, 0, [0x25, 0x15, 0x15], "f9d642749079aa63"),
+        ("partition", 6, 12345, [0x1A, 0x16, 0x1A], "153b127a81f73623"),
+        ("partition", 62, 0,
+         [0x7A67C5D7CE5024C, 0x3B23126AAD87CD15, 0x299BA21D332ABA27], "e67e9e232f25073d"),
+        ("partition", 62, 12345,
+         [0x172F313703F5B0D0, 0x14A96DBCE5268792, 0x1E4D7EFF41045F00], "b878b5b8fe1e67b9"),
+        ("independent", 1, 0, [0x1, 0x0, 0x1], "81c968fd896a2bcc"),
+        ("independent", 1, 12345, [0x0, 0x1, 0x1], "f2ca8ca12e3b2cd1"),
+        ("independent", 7, 0, [0x2F, 0x74, 0x4F], "ed00632376e3c350"),
+        ("independent", 7, 12345, [0x20, 0x6D, 0x1D], "10d075aec6b6efdc"),
+        ("independent", 63, 0,
+         [0x6220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x6C45D188009454F], "769907080a4a8ff2"),
+        ("independent", 63, 12345,
+         [0x22118258A9D111A0, 0x346EDCE5F713F8ED, 0x1E9A57BC80E6721D], "8e745f923775c162"),
+        ("xor", 1, 0, [0x3, 0x3, 0x3], "3652e768c12e2364"),
+        ("xor", 1, 12345, [0x2, 0x3, 0x3], "19bb938ec64803ad"),
+        ("xor", 3, 0, [0xF, 0xF, 0x33], "05bc23117b794eb8"),
+        ("xor", 3, 12345, [0x5A, 0x33, 0xC3], "323298c26dae1f75"),
+        ("xor", 5, 0, [0xF0F00F0F, 0xF00FF00F, 0xCC33CC33], "e318fdbdf5f6f97d"),
+        ("xor", 5, 12345, [0xA55AA55A, 0xCC33CC33, 0x3CC33CC3], "615a6bb930a571f2"),
+    ])
+    def test_draws(self, kind, n, seed, head, digest):
+        s = Stream(StreamSpec(kind, n, seed))
+        draws = [s.draw_bits() for _ in range(600)]
+        assert draws[:3] == head
+        assert _digest(draws) == digest
+
+    def test_lazy_xor_draws(self):
+        s = Stream(StreamSpec("xor", 7, 99))
+        draws = [(d.seed_sign, d.seed_mask) for d in (s.draw_lazy() for _ in range(300))]
+        assert draws[:4] == [(1, 36), (1, 87), (-1, 115), (1, 67)]
+        assert _digest(draws) == "df7c01189f7a8a0d"
+
+    def test_below(self):
+        g = SplitMix64(2024)
+        values = [g.below(bound) for bound in range(1, 3001)]
+        assert values[:6] == [0, 0, 0, 1, 3, 1]
+        assert _digest(values) == "c86e650186a8ab24"
+        # bounds where rejection is frequent (up to half the words)
+        g = SplitMix64(7)
+        bounds = ((1 << 63) + 1, (1 << 64) - 1, 3 << 62, 1 << 64)
+        assert _digest(g.below(b) for b in bounds for _ in range(50)) == "01c53faa98a3aad7"
+
+    @pytest.mark.parametrize("kind,n,weighted,p,mean,std_error", [
+        ("partition", 6, False, 4, "202.17599999999942", "8.587174556489536"),
+        ("partition", 6, False, Fraction(5, 2), "13.756334395470352", "0.5842832221002718"),
+        ("partition", 6, True, 4, "1662.9105493827149", "60.57760214943792"),
+        ("partition", 6, True, Fraction(5, 2), "66.93512016944074", "1.9045308032874906"),
+        ("xor", 3, False, 4, "562.5173333333345", "25.744306919988354"),
+        ("xor", 3, False, Fraction(5, 2), "24.85998880843582", "1.1377483750044706"),
+        ("xor", 3, True, 4, "4554.7347037037025", "197.17568965590706"),
+        ("xor", 3, True, Fraction(5, 2), "109.10554439489871", "3.9613930816310314"),
+        ("independent", 9, False, 4, "222.73866666666711", "10.839995857139506"),
+        ("independent", 9, False, Fraction(5, 2), "19.02288631083219", "0.5629328032958328"),
+        ("independent", 9, True, 4, "2769.763547325101", "110.61590000575784"),
+        ("independent", 9, True, Fraction(5, 2), "96.92817173277177", "2.547495774945951"),
+        ("partition", 62, False, 3, "3654.362666666674", "534.7487058735278"),
+        ("independent", 63, True, 3, "8504.657234567934", "324.98674780869686"),
+        ("xor", 5, False, Fraction(7, 3), "113.78490740508012", "10.910032945470682"),
+    ])
+    def test_estimates(self, kind, n, weighted, p, mean, std_error):
+        spec = StreamSpec(kind, n, 31)
+        a = Weights(tuple(_FRACTIONAL_WEIGHTS[:spec.dimension])) if weighted else None
+        est = estimate_moment(spec, a, p, 3000)
+        assert (repr(est.mean), repr(est.std_error), est.samples) == (mean, std_error, 3000)
