@@ -29,7 +29,7 @@ from .sampler import Stream, StreamSpec, estimate_moment
 # and set from measured time (2-core host, Python 3.11): at |p| = 4095 an
 # n = 10000 reduced program takes about 10 s and 280 MB; at 1024 bits a
 # Stirling-series haagerup bound takes about 2 s (17 s at 2048); a million
-# xor draws take about 20 s.  The --n of an explicit law (construct, verify,
+# xor draws take about 9 s.  The --n of an explicit law (construct, verify,
 # moment) is capped at MAX_ENUMERATION, set from memory.
 MAX_P_TERM = 4096  # numerator and denominator of --p
 MAX_PRECISION_BITS = 1024
@@ -97,12 +97,27 @@ def _cell(v) -> str:
 
 
 def _emit(data, fmt: str) -> None:
-    """data is one dict or a list of row dicts sharing a schema."""
+    """data is one dict, a list of row dicts sharing a schema, or a pair
+    (longest, rows): the length of the longest cell in each column, keyed
+    by heading, and an iterator of rows, which are printed as they come."""
+    if isinstance(data, dict):
+        if fmt == "json":
+            print(json.dumps(data))
+            return
+        data = [{"field": k, "value": v} for k, v in data.items()]
+    longest, rows = (None, data) if isinstance(data, list) else data
     if fmt == "json":
-        print(json.dumps(data))
+        # the bytes of json.dumps(list(rows)), encoded 1024 rows at a time
+        write = sys.stdout.write
+        rows = iter(rows)
+        write("[")
+        sep = ""
+        while chunk := [row for _, row in zip(range(1024), rows)]:
+            write(sep + json.dumps(chunk)[1:-1])
+            sep = ", "
+        write("]\n")
         return
-    rows = data if isinstance(data, list) else [{"field": k, "value": v} for k, v in data.items()]
-    header = list(rows[0]) if rows else []
+    header = list(longest) if longest else list(rows[0]) if rows else []
     if fmt == "csv":
         print(",".join(header))
         for row in rows:
@@ -110,12 +125,12 @@ def _emit(data, fmt: str) -> None:
                            if any(ch in _cell(row.get(h)) for ch in ',"')
                            else _cell(row.get(h)) for h in header))
         return
-    cells = [[_cell(row.get(h)) for h in header] for row in rows]
-    widths = [max(len(h), *(len(r[i]) for r in cells)) if cells else len(h)
-              for i, h in enumerate(header)]
+    if longest is None:
+        longest = {h: max(len(_cell(row.get(h))) for row in rows) for h in header}
+    widths = [max(len(h), longest[h]) for h in header]
     print("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
-    for r in cells:
-        print("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
+    for row in rows:
+        print("  ".join(_cell(row.get(h)).ljust(w) for h, w in zip(header, widths)).rstrip())
 
 
 # -- subcommands -------------------------------------------------------------
@@ -186,10 +201,13 @@ def _cmd_constant(args) -> dict:
     return out
 
 
-def _cmd_sample(args) -> list[dict]:
-    spec = StreamSpec(args.kind, args.n, args.seed)
-    stream = Stream(spec)
-    return [{"draw": i, "signs": str(stream.draw())} for i in range(args.samples)]
+def _cmd_sample(args):
+    """Rows for _emit to print as they are drawn, so that memory stays flat
+    in the sample count."""
+    stream = Stream(StreamSpec(args.kind, args.n, args.seed))
+    first = str(stream.draw())  # a dimension too wide to draw fails here, before any output
+    rows = ({"draw": i, "signs": str(stream.draw()) if i else first} for i in range(args.samples))
+    return {"draw": len(str(args.samples - 1)), "signs": len(first)}, rows
 
 
 def _cmd_estimate(args) -> dict:

@@ -2,51 +2,76 @@
 
 The pseudorandom source is SplitMix64 (Steele, Lea, Flood 2014), chosen for
 cross-platform reproducibility: identical (kind, n, seed) always yields the
-identical sample sequence.  Bounded draws use threshold rejection, so every
-range is exactly uniform.  Estimates accumulate in IEEE doubles; at the
-bounded magnitudes involved the rounding error is far below the Monte Carlo
-noise.
+identical sample sequence.  Words are made _BLOCK at a time: the block's
+states seed + i*gamma are packed into 128-bit lanes of one Python int, and
+the finalizer's two xorshift-multiply rounds and last xorshift run on all
+lanes at once.  Each shift is masked back to the low 64 bits of every lane,
+and a 64-bit lane times a 64-bit constant fits in its 128 bits, so no carry
+crosses a lane and every lane follows the one-word recurrence exactly.
+Bounded draws use threshold rejection, so every range is exactly uniform.
+Estimates accumulate in IEEE doubles; at the bounded magnitudes involved the
+rounding error is far below the Monte Carlo noise.
 """
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .core import MAX_DIMENSION, SignVector
 from .constructions import xor_pattern, xor_sign
 from .moments import Weights
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
 MAX_XOR_EXPONENT = 30
 
 KINDS = ("partition", "xor", "independent")
+
+_BLOCK = 256  # words per block, one 128-bit lane each
+_LOW = int.from_bytes((b"\xff" * 8 + bytes(8)) * _BLOCK, "little")
+_ONES = int.from_bytes((b"\x01" + bytes(15)) * _BLOCK, "little")
+_STEPS = int.from_bytes(
+    b"".join((i * _GAMMA & _MASK64).to_bytes(16, "little") for i in range(1, _BLOCK + 1)),
+    "little",
+)
+_UNPACK = struct.Struct("<" + "Q8x" * _BLOCK).unpack
+
+
+def _limit(bound: int) -> int:
+    """Largest multiple of bound that fits in 64 bits: words at or above it
+    are rejected."""
+    return ((1 << 64) // bound) * bound
+
+
+def _words(state: int) -> Iterator[int]:
+    while True:
+        z = (state * _ONES + _STEPS) & _LOW
+        state = (state + _BLOCK * _GAMMA) & _MASK64
+        z = ((z ^ ((z >> 30) & _LOW)) * 0xBF58476D1CE4E5B9) & _LOW
+        z = ((z ^ ((z >> 27) & _LOW)) * 0x94D049BB133111EB) & _LOW
+        z ^= (z >> 31) & _LOW
+        yield from _UNPACK(z.to_bytes(16 * _BLOCK, "little"))
 
 
 class SplitMix64:
     """64-bit SplitMix generator: state advances by the golden-gamma constant
     0x9E3779B97F4A7C15 and each output is the murmur-style finalizer of the
-    new state."""
+    new state.  next_u64() returns the next word."""
 
-    __slots__ = ("state",)
+    __slots__ = ("next_u64",)
 
     def __init__(self, seed: int):
-        self.state = seed & _MASK64
-
-    def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        self.next_u64 = _words(seed & _MASK64).__next__
 
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound) by rejection below the largest
         multiple of bound that fits in 64 bits."""
         if bound <= 0:
             raise ValueError(f"bound must be positive, got {bound}")
-        limit = ((1 << 64) // bound) * bound
+        limit = _limit(bound)
         while True:
             u = self.next_u64()
             if u < limit:
@@ -102,45 +127,16 @@ class XorDraw:
 
 class Stream:
     """Stateful sampler for one StreamSpec; see the module docstring for the
-    determinism guarantee.  Not safe to share across threads."""
+    determinism guarantee.  Not safe to share across threads.
+
+    draw_bits() returns one draw as a sign bitmask (bit i set means
+    coordinate i is +1).  For the xor kind it materializes all 2^n
+    coordinates and therefore requires the dimension to fit a bitmask."""
 
     def __init__(self, spec: StreamSpec):
         self.spec = spec
         self._rng = SplitMix64(spec.seed)
-
-    def draw_bits(self) -> int:
-        """One draw as a sign bitmask (bit i set means coordinate i is +1).
-        For the xor kind this materializes all 2^n coordinates and therefore
-        requires the dimension to fit a bitmask."""
-        kind = self.spec.kind
-        n = self.spec.n
-        rng = self._rng
-        if kind == "independent":
-            return rng.next_u64() & ((1 << n) - 1)
-        if kind == "partition":
-            u = rng.below(2 * n)
-            if u == 0:
-                return (1 << n) - 1
-            if u == 1:
-                return 0
-            # uniform balanced vector: partial shuffle of a half-and-half
-            # template, the first n/2 slots become the +1 coordinates
-            arr = list(range(n))
-            for i in range(n // 2):
-                j = i + rng.below(n - i)
-                arr[i], arr[j] = arr[j], arr[i]
-            bits = 0
-            for i in range(n // 2):
-                bits |= 1 << arr[i]
-            return bits
-        draw = self.draw_lazy()
-        dim = 1 << n
-        if dim > MAX_DIMENSION:
-            raise ValueError(
-                f"xor dimension 2^{n} = {dim} exceeds {MAX_DIMENSION}; "
-                "use draw_lazy for coordinate access"
-            )
-        return xor_pattern(n, draw.seed_sign, draw.seed_mask)
+        self.draw_bits = _DRAWS[spec.kind](spec.n, self._rng.next_u64)
 
     def draw(self) -> SignVector:
         return SignVector(self.spec.dimension, self.draw_bits())
@@ -156,6 +152,64 @@ class Stream:
     def __iter__(self) -> Iterator[SignVector]:
         while True:
             yield self.draw()
+
+
+def _independent(n: int, word: Callable[[], int]) -> Callable[[], int]:
+    low = (1 << n) - 1
+    return lambda: word() & low
+
+
+def _partition(n: int, word: Callable[[], int]) -> Callable[[], int]:
+    """Unanimous with probability 1/n, else a uniform balanced vector: a
+    partial shuffle of the coordinates' bits, whose first n/2 slots become
+    the +1 coordinates."""
+    bound = 2 * n
+    limit = _limit(bound)
+    full = (1 << n) - 1
+    half = n // 2
+    coords = [1 << i for i in range(n)]
+    steps = [(i, n - i, _limit(n - i)) for i in range(half)]
+
+    def draw():
+        u = word()
+        while u >= limit:
+            u = word()
+        u %= bound
+        if u == 0:
+            return full
+        if u == 1:
+            return 0
+        arr = coords[:]
+        for i, b, lim in steps:
+            u = word()
+            while u >= lim:
+                u = word()
+            j = i + u % b
+            arr[i], arr[j] = arr[j], arr[i]
+        return sum(arr[:half])
+
+    return draw
+
+
+def _xor(n: int, word: Callable[[], int]) -> Callable[[], int]:
+    dim = 1 << n
+    if dim > MAX_DIMENSION:
+        def draw():
+            raise ValueError(
+                f"xor dimension 2^{n} = {dim} exceeds {MAX_DIMENSION}; "
+                "use draw_lazy for coordinate access"
+            )
+        return draw
+    # one sign word, then the seed mask: below(2^n) never rejects, because
+    # 2^n divides 2^64, so the mask is the word's low n bits
+    plus = [xor_pattern(n, 1, mask) for mask in range(dim)]
+    full = (1 << dim) - 1
+    patterns = ([v ^ full for v in plus], plus)
+    low = dim - 1
+    return lambda: patterns[word() & 1][word() & low]
+
+
+_DRAWS = {"independent": _independent, "partition": _partition, "xor": _xor}
 
 
 def sample(spec: StreamSpec) -> SignVector:
@@ -194,28 +248,36 @@ def estimate_moment(
         raise ValueError(f"dimension {dim} exceeds {MAX_DIMENSION}")
     if a is not None and a.n != dim:
         raise ValueError(f"weights have dimension {a.n}, expected {dim}")
-    stream = Stream(spec)
-    draw_bits = stream.draw_bits
+    draws = iter(Stream(spec).draw_bits, -1)  # endless: no draw is -1
     pe = float(pf)
-    mean = 0.0
-    m2 = 0.0
     if a is None:
-        for i in range(1, samples + 1):
-            bits = draw_bits()
-            t = float(abs(2 * bits.bit_count() - dim)) ** pe
-            delta = t - mean
-            mean += delta / i
-            m2 += delta * (t - mean)
+        table = [float(abs(2 * m - dim)) ** pe for m in range(dim + 1)]
+        values = map(table.__getitem__, map(int.bit_count, draws))
     else:
         coeffs = [float(v) for v in a.a]
-        for i in range(1, samples + 1):
-            bits = draw_bits()
+
+        def value(bits):
             dot = 0.0
             for j, cj in enumerate(coeffs):
                 dot += cj if (bits >> j) & 1 else -cj
-            t = abs(dot) ** pe
-            delta = t - mean
-            mean += delta / i
-            m2 += delta * (t - mean)
+            return abs(dot) ** pe
+
+        # xor has at most 2^(n+1) distinct draws; other kinds keep nothing
+        # per draw, because their draws need not repeat
+        memo = {}
+
+        def cached(bits):
+            t = memo.get(bits)
+            if t is None:
+                t = memo[bits] = value(bits)
+            return t
+
+        values = map(cached if spec.kind == "xor" else value, draws)
+    mean = 0.0
+    m2 = 0.0
+    for i, t in zip(range(1, samples + 1), values):
+        delta = t - mean
+        mean += delta / i
+        m2 += delta * (t - mean)
     variance = m2 / (samples - 1)
     return McEstimate(mean, sqrt(variance / samples), samples)

@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -378,6 +379,24 @@ class TestSampleAndEstimate:
             _emit(rows, fmt)
             assert out == capsys.readouterr().out
             assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_sample_memory_does_not_grow_with_draws(self, fmt):
+        class Sink(io.TextIOBase):
+            def write(self, text):
+                return len(text)
+
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(Sink()):
+                code = run(["sample", "--kind", "independent", "--n", "8",
+                            "--samples", "100000", "--format", fmt])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        # building every row before printing peaked at 36 MB (json) and 45 MB (table)
+        assert peak < 2_000_000
 
     def test_estimate_matches_library(self, capsys):
         code, out, _ = invoke(
