@@ -1,0 +1,66 @@
+"""Golden pins on the exact simplex's path through the flip-symmetric
+programs: the pivot count of each phase and a digest of a warm sequence of
+`solve_full` results.  Any change to the tableau's layout must leave both
+unchanged, since the entering and leaving rules read only true values."""
+import hashlib
+import json
+from fractions import Fraction
+
+from kwise import extremal, simplex
+from kwise.extremal import solve_full
+from kwise.moments import Weights
+
+# (n, k) of the flip solver, phase-1 pivots from a fresh solver, then
+# (p, pivots) for each solve_full that follows on the same warm solver
+PIVOT_PATH = (
+    (8, 4, 64, ((4, 35), (5, 51))),
+    (8, 2, 38, ((3, 48),)),
+    (7, 4, 57, ((5, 13),)),
+)
+
+# a warm sequence over several solvers: all-ones and weighted, integer and
+# fractional p, each solver resuming from the previous objective's basis
+WARM_SEQUENCE = (
+    (6, 4, 2, None),
+    (6, 5, 3, None),
+    (6, Fraction(7, 2), 2, None),
+    (7, 4, 4, ("1", "2", "2", "1", "3", "1", "1")),
+    (7, 5, 4, None),
+    (8, 4, 4, None),
+    (8, 5, 4, None),
+    (8, Fraction(5, 2), 4, None),
+    (8, 3, 2, ("1", "1", "2", "2", "1", "1/2", "1", "1")),
+    (8, 6, 2, None),
+)
+WARM_DIGEST = "8112e52827e6b2d5da16a72ac8222f9d41eefb7d68a61a9c0b72c9a37a9da3b6"
+
+
+def test_pivot_counts_per_phase(monkeypatch):
+    real = simplex._pivot
+    count = [0]
+
+    def counted(*args):
+        count[0] += 1
+        real(*args)
+
+    monkeypatch.setattr(simplex, "_pivot", counted)
+    for n, k, phase1, solves in PIVOT_PATH:
+        extremal._flip_solver.cache_clear()
+        count[0] = 0
+        extremal._flip_solver(n, k).prepare()
+        assert count[0] == phase1, (n, k)
+        for p, want in solves:
+            count[0] = 0
+            solve_full(n, p, k)
+            assert count[0] == want, (n, k, p)
+
+
+def test_warm_solve_full_sequence_digest():
+    extremal._flip_solver.cache_clear()
+    h = hashlib.sha256()
+    for n, p, k, a in WARM_SEQUENCE:
+        w = None if a is None else Weights.from_strings(a)
+        sol = solve_full(n, p, k, a=w)
+        assert sol.certificate_ok is True, (n, p, k)
+        h.update(json.dumps(sol.to_json()).encode())
+    assert h.hexdigest() == WARM_DIGEST
