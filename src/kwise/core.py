@@ -26,6 +26,9 @@ MAX_ENUMERATION = 20
 # decimal places of every printed interval endpoint
 DIGITS = 40
 
+# binary digits to sign characters, for SignVector.__str__
+_SIGN_CHARS = str.maketrans("01", "-+")
+
 
 @dataclass(frozen=True, slots=True)
 class SignVector:
@@ -54,7 +57,8 @@ class SignVector:
         return tuple(1 if (self.bits >> i) & 1 else -1 for i in range(self.n))
 
     def __str__(self) -> str:
-        return "".join("+" if (self.bits >> i) & 1 else "-" for i in range(self.n))
+        # coordinate 0 is the lowest bit, so the binary digits are reversed
+        return format(self.bits, f"0{self.n}b")[::-1].translate(_SIGN_CHARS)
 
     @classmethod
     def from_signs(cls, signs: Sequence[int]) -> "SignVector":

@@ -50,16 +50,6 @@ class Weights:
         den = lcm(*(v.denominator for v in self.a))
         return den, [v.numerator * (den // v.denominator) for v in self.a]
 
-    def dot_bits(self, bits: int) -> Fraction:
-        """Signed sum for the sign vector encoded by ``bits``."""
-        total = -sum(self.a, Fraction(0))
-        m = bits
-        while m:
-            low = m & -m
-            total += 2 * self.a[low.bit_length() - 1]
-            m ^= low
-        return total
-
 
 @dataclass(frozen=True, slots=True)
 class MomentResult:

@@ -1,10 +1,24 @@
 """Exact two-phase primal simplex for equality-form programs.
 
-The tableau is kept fraction-free row by row: each row is an integer vector
-together with one positive integer divisor, reduced after every update by the
-gcd of the divisor with the row's content, instead of one divisor shared by
-the whole tableau in the style of Bareiss.  True tableau entries are ratios
-of basis minors, and how large the reduced rows get depends on the path of
+The tableau is condensed, in dictionary form (Chvátal, *Linear Programming*,
+1983, ch. 7): it stores B^-1 N and B^-1 b, one entry per nonbasic variable
+and then the right-hand side, and no column for a basic variable.  The
+variables are the n structural columns and one artificial per row; a
+`nonbasic` list beside `basis` says which variable each slot holds.  A
+basic variable's column is implicit: its row's divisor on its own row and 0
+on every other row.  A pivot exchanges slots: the entering variable's slot
+is recomputed as the leaving variable's column, so each row has n + 1
+entries however many artificials are still basic, and no pivot recomputes
+the zeros of an identity block.
+
+Each row is kept fraction-free: an integer vector together with one
+positive integer divisor, reduced after every update by the gcd of the
+divisor with the row's content, instead of one divisor shared by the whole
+tableau in the style of Bareiss.  That gcd is the one a full tableau
+B^-1 [A | I | b] would take, since the basic columns only add zeros and the
+row's own divisor, so every stored entry and divisor equals the full
+tableau's entry for the same variable.  True tableau entries are ratios of
+basis minors, and how large the reduced rows get depends on the path of
 bases.  On the flip-symmetric n = 8, k = 4 program of `extremal` the largest
 entry has 20 bits after Dantzig's phase 1 from the all-artificial basis and
 7 bits from the even-weight-code start; at n = 10, k = 4 it has 112 bits
@@ -12,22 +26,25 @@ after Dantzig's phase 1 and 9 bits from the code start, and 23 bits after
 the p = 6 solve from either.  Ratio comparisons never need the divisors at
 all: within one row they cancel.
 
-Entering columns follow Dantzig's largest-violation rule; leaving rows use
-the lexicographic ratio test anchored on the basis held at the start of the
-run, whose tableau block is a scaled identity, so all rows start
-lexicographically positive and no basis can repeat.  That matters here: the
-moment programs are so degenerate that Bland's rule, while equally exact,
-stalls for thousands of pivots on the optimal face.
+Entering columns follow Dantzig's largest-violation rule, ties to the lowest
+variable index; leaving rows use the lexicographic ratio test anchored on
+the variables basic at the start of the run, whose columns then form a
+scaled identity, so all rows start lexicographically positive and no basis
+can repeat.  That matters here: the moment programs are so degenerate that
+Bland's rule, while equally exact, stalls for thousands of pivots on the
+optimal face.
 
 Artificial variables left basic at level zero after phase 1 are not driven
-out eagerly (for these programs that would cost hundreds of full-tableau
-pivots); instead any such row blocks an entering column at ratio zero and is
-pivoted out on contact, whatever the sign of its entry.  Such a pivot keeps
-every true value unchanged, and the lexicographic anchor is re-established
-after it, so each stretch between artificial removals terminates and there
-are at most m removals in total.  An artificial basic at zero at the end is
-harmless: its constraint holds, its dual weight reads as zero, and consistent
-dependent constraint rows are accepted instead of rejected.
+out eagerly (for these programs that would cost hundreds of pivots);
+instead any such row blocks an entering column at ratio zero and is pivoted
+out on contact, whatever the sign of its entry.  Such a pivot keeps every
+true value unchanged, and the lexicographic anchor is re-established after
+it, so each stretch between artificial removals terminates and there are at
+most m removals in total.  An artificial basic at zero at the end is
+harmless: its constraint holds, its dual weight reads as zero, and
+consistent dependent constraint rows are accepted instead of rejected.
+A nonbasic artificial never enters again; its slot stays in the rows
+because the objective row's entry there is the row's dual weight.
 
 `verify_certificate` re-checks any claimed optimum from scratch in exact
 arithmetic; it shares no state or code with the pivot loop.  Its dual half,
@@ -60,6 +77,10 @@ class ExactSimplex:
     then runs the Dantzig loop, which stops at once when those columns make
     a feasible basis.  Columns that are dependent, or whose basis has a
     negative value, raise ValueError.
+
+    Variable j < n is structural column j; variable n + i is the artificial
+    of row i.  A row with negative right-hand side is negated, so that its
+    artificial starts basic at a nonnegative level.
     """
 
     def __init__(
@@ -87,9 +108,9 @@ class ExactSimplex:
         self.rows = [list(r) for r in rows]
         self.rhs = list(rhs)
         self.start = start
-        # the feasible tableau each maximize starts from: phase 1's, then
-        # the previous maximize's final one
-        self._tableau: tuple[list[list[int]], list[int], list[int]] | None = None
+        # the feasible tableau each maximize starts from, as (rows, divisors,
+        # basis, nonbasic): phase 1's, then the previous maximize's final one
+        self._tableau: tuple[list[list[int]], list[int], list[int], list[int]] | None = None
 
     @property
     def phase1_done(self) -> bool:
@@ -106,91 +127,96 @@ class ExactSimplex:
 
     def _phase1(self) -> None:
         n, m = self.n, self.m
-        width = n + m + 1
         M: list[list[int]] = []
-        for i, row in enumerate(self.rows):
-            flip = -1 if self.rhs[i] < 0 else 1
-            art = [0] * m
-            art[i] = flip
-            M.append([flip * v for v in row] + art + [flip * self.rhs[i]])
+        for row, b in zip(self.rows, self.rhs):
+            flip = -1 if b < 0 else 1
+            M.append([flip * v for v in row] + [flip * b])
         divs = [1] * m
         basis = [n + i for i in range(m)]
+        nonbasic = list(range(n))
         # objective row for maximizing -(sum of artificials)
-        M.append([-sum(M[i][j] for i in range(m)) for j in range(width)])
+        M.append([-sum(col) for col in zip(*M)])
         divs.append(1)
         for col in self.start:
-            row = next((i for i in range(m) if basis[i] >= n and M[i][col]), None)
+            # a structural column keeps its own slot until it enters
+            row = None
+            if nonbasic[col] == col:
+                row = next((i for i in range(m) if basis[i] >= n and M[i][col]), None)
             if row is None:
                 raise ValueError(f"start column {col} depends on the ones before it")
             _pivot(M, divs, row, col)
-            basis[row] = col
-        if any(M[i][width - 1] < 0 for i in range(m)):
+            basis[row], nonbasic[col] = col, basis[row]
+        if any(M[i][n] < 0 for i in range(m)):
             raise ValueError("start columns do not give a feasible basis")
-        self._optimize(M, divs, basis, stop_at_zero=True)
-        if M[m][width - 1] != 0:
+        self._optimize(M, divs, basis, nonbasic, stop_at_zero=True)
+        if M[m][n] != 0:
             raise RuntimeError("program is infeasible")
         M.pop()
         divs.pop()
-        self._tableau = (M, divs, basis)
+        self._tableau = (M, divs, basis, nonbasic)
 
     # -- core loop ----------------------------------------------------------
 
-    def _optimize(self, M, divs, basis, stop_at_zero=False) -> None:
+    def _optimize(self, M, divs, basis, nonbasic, stop_at_zero=False) -> None:
         """Pivot until the objective row (last row of M) is optimal.
         `stop_at_zero` ends as soon as the objective cell reaches zero
-        (phase 1 stops at feasibility).  Nothing in the artificial block
-        enters, and the anchor never needs an artificial column because the
-        contact guard keeps artificial-basic rows out of ordinary ratio
-        ties."""
+        (phase 1 stops at feasibility).  No artificial enters."""
         m, n = self.m, self.n
-        rhs = len(M[0]) - 1
-        lexcols = tuple(b for b in basis if b < rhs)
+        rhs = n  # one slot per nonbasic variable, then the right-hand side
+        anchors = tuple(basis)
         while True:
             obj = M[m]  # _pivot rebinds rows, so re-read each pass
             if stop_at_zero and obj[rhs] == 0:
                 break
-            col = None
-            worst = 0
-            for j in range(n):
-                v = obj[j]
-                if v < worst:
-                    worst = v
-                    col = j
-            if col is None:
+            slot, worst, var = None, 0, n
+            for s in range(rhs):
+                v = obj[s]
+                if v <= worst and v < 0:
+                    j = nonbasic[s]
+                    if j < n and (v < worst or j < var):
+                        slot, worst, var = s, v, j
+            if slot is None:
                 break
-            row = None
-            for i in range(m):
-                if basis[i] >= n and M[i][rhs] == 0 and M[i][col]:
-                    row = i  # zero-level artificial blocks: out on contact
-                    break
-            if row is None:
-                row = self._lex_ratio_row(M, col, lexcols)
+            # a zero-level artificial blocks: it is pivoted out on contact
+            row = next((i for i in range(m)
+                        if basis[i] >= n and M[i][rhs] == 0 and M[i][slot]), None)
+            contact = row is not None
+            if not contact:
+                row = self._lex_ratio_row(M, divs, slot, basis, nonbasic, anchors)
                 if row is None:
                     raise RuntimeError("objective is unbounded on the feasible set")
-                _pivot(M, divs, row, col)
-                basis[row] = col
-            else:
-                _pivot(M, divs, row, col)
-                basis[row] = col
-                lexcols = tuple(b for b in basis if b < rhs)
+            _pivot(M, divs, row, slot)
+            basis[row], nonbasic[slot] = var, basis[row]
+            if contact:
+                anchors = tuple(basis)
 
-    def _lex_ratio_row(self, M, col, lexcols) -> int | None:
+    def _lex_ratio_row(self, M, divs, slot, basis, nonbasic, anchors) -> int | None:
         """Leaving row: lexicographic minimum of row/pivot-entry over the
-        right-hand side followed by the anchor columns.  The anchor block is
-        nonsingular in every basis, so the minimum is unique.  Row divisors
-        cancel inside each ratio, so entries are compared directly."""
-        rhs = len(M[0]) - 1
-        cands = [i for i in range(self.m) if M[i][col] > 0]
+        right-hand side followed by the anchor variables' columns.  The
+        anchor block is nonsingular in every basis, so the minimum is
+        unique.  An anchor that is still basic has its implicit column, the
+        row divisor on its own row and 0 elsewhere.  Row divisors cancel
+        inside each ratio, so entries are compared directly."""
+        rhs = self.n
+        cands = [i for i in range(self.m) if M[i][slot] > 0]
         if not cands:
             return None
-        for jc in (rhs, *lexcols):
+        for v in (None, *anchors):
             if len(cands) == 1:
                 return cands[0]
+            if v is None:
+                key = {i: M[i][rhs] for i in cands}
+            elif v in basis:
+                r = basis.index(v)
+                key = {i: divs[i] if i == r else 0 for i in cands}
+            else:
+                s = nonbasic.index(v)
+                key = {i: M[i][s] for i in cands}
             best = cands[0]
             keep = [best]
             for i in cands[1:]:
-                lhs = M[i][jc] * M[best][col]
-                rhs_v = M[best][jc] * M[i][col]
+                lhs = key[i] * M[best][slot]
+                rhs_v = key[best] * M[i][slot]
                 if lhs == rhs_v:
                     keep.append(i)
                 elif lhs < rhs_v:
@@ -204,17 +230,17 @@ class ExactSimplex:
     def maximize(self, c: Sequence) -> SimplexResult:
         """Any feasible basis is a valid simplex start, so each call resumes
         from the previous call's final basis when one exists; related
-        objectives then need only a few pivots.  The dual vector is read off
-        the objective row under the artificial column block."""
+        objectives then need only a few pivots.  The dual weight of row i is
+        read off the objective row under the slot of artificial n + i, or is
+        0 while that artificial is basic."""
         cf = [Fraction(v) for v in c]
         if len(cf) != self.n:
             raise ValueError(f"objective length {len(cf)} != {self.n} columns")
         if self._tableau is None:
             self._phase1()
-        M, divs, basis = self._tableau
-        M, divs, basis = [row[:] for row in M], divs[:], basis[:]
+        M, divs, basis, nonbasic = self._tableau
+        M, divs, basis, nonbasic = [row[:] for row in M], divs[:], basis[:], nonbasic[:]
         n, m = self.n, self.m
-        last = n + m
         # objective row holds true reduced costs over one divisor: start from
         # -c and add back the basic rows' contributions on one common scale
         den = lcm(*(v.denominator for v in cf)) if cf else 1
@@ -222,7 +248,7 @@ class ExactSimplex:
         for i in range(m):
             if basis[i] < n and cf[basis[i]]:
                 L = lcm(L, divs[i] * cf[basis[i]].denominator)
-        obj = [-(L // den) * int(v * den) for v in cf] + [0] * (m + 1)
+        obj = [-(L // den) * int(cf[j] * den) if j < n else 0 for j in nonbasic] + [0]
         for i in range(m):
             if basis[i] < n:
                 coef = cf[basis[i]]
@@ -232,34 +258,45 @@ class ExactSimplex:
         M.append(obj)
         divs.append(L)
         _reduce_row(M, divs, m)
-        self._optimize(M, divs, basis)
+        self._optimize(M, divs, basis, nonbasic)
         x = [Fraction(0)] * n
         for i in range(m):
             if basis[i] < n:
-                x[basis[i]] = Fraction(M[i][last], divs[i])
+                x[basis[i]] = Fraction(M[i][n], divs[i])
         obj = M[m]
         dob = divs[m]
-        y = tuple(Fraction(obj[n + i], dob) for i in range(m))
-        value = Fraction(obj[last], dob)
+        # the artificial of a negated row stands for minus the original one
+        y = [Fraction(0)] * m
+        for s, j in enumerate(nonbasic):
+            if j >= n:
+                i = j - n
+                y[i] = Fraction(-obj[s] if self.rhs[i] < 0 else obj[s], dob)
+        value = Fraction(obj[n], dob)
         M.pop()
         divs.pop()
-        self._tableau = (M, divs, basis)
-        return SimplexResult(value, tuple(x), y)
+        self._tableau = (M, divs, basis, nonbasic)
+        return SimplexResult(value, tuple(x), tuple(y))
 
     def minimize(self, c: Sequence) -> SimplexResult:
         res = self.maximize([-Fraction(v) for v in c])
         return SimplexResult(-res.value, res.x, tuple(-v for v in res.y))
 
 
-def _pivot(M: list[list[int]], divs: list[int], r: int, c: int) -> None:
+def _pivot(M: list[list[int]], divs: list[int], r: int, s: int) -> None:
+    """Pivot on row r and slot s of the condensed tableau.  For the row
+    operation, slot s holds the leaving variable's column, divs[r] on row r
+    and 0 on every other row, in place of the entering column; after it, the
+    entering variable is basic on row r with divisor equal to its entry."""
     prow = M[r]
-    piv = prow[c]
+    piv = prow[s]
+    prow[s] = divs[r]
     for i, row in enumerate(M):
         if i == r:
             continue
-        f = row[c]
+        f = row[s]
         if f == 0:
             continue
+        row[s] = 0  # the row is rebuilt below; its old list is dropped
         # dividing out gcd(piv, f) up front keeps the products small
         g0 = gcd(piv, f)
         p2 = piv // g0
