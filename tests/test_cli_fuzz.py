@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from kwise.cli import run
 
+# each domain mixes valid values with invalid ones: negative and zero sizes,
+# malformed orders, an unknown construction, precision 0
 small_int = st.integers(-2, 12).map(str)
 order = st.one_of(
     st.fractions(min_value=Fraction(-8), max_value=Fraction(8), max_denominator=4).map(str),
@@ -23,17 +25,17 @@ constructions = st.sampled_from(["partition", "xor", "independent", "uniform"])
 kinds = st.sampled_from(["partition", "xor", "independent"])
 
 
-def opt(flag, values):
+def flag(name, values):
+    return values.map(lambda v: [name, v])
+
+
+def opt(name, values):
     """Either nothing or the flag with one drawn value."""
-    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+    return st.one_of(st.just([]), flag(name, values))
 
 
 def command(name, *parts):
     return st.tuples(*parts).map(lambda ps: [name] + [a for p in ps for a in p])
-
-
-def flag(name, values):
-    return values.map(lambda v: [name, v])
 
 
 common = st.tuples(
