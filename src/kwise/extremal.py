@@ -127,11 +127,8 @@ class LpSolution:
     `certificate_ok` records the outcome of that check.  On the unreduced
     route the dual is aligned with `full_constraint_labels` and is 0 on every
     odd-size label, since the solve runs on the flip-symmetric program.
-
-    A reduced solution is history-free.  A full one is not: its solver is
-    kept per (n, k - k mod 2) and resumes from the last objective's basis,
-    so a non-unique optimum may come back as another optimal law with the
-    same value and `certificate_ok`.
+    Both routes are history-free: the same arguments give the same solution
+    whatever the process solved before.
     """
 
     kind: str
@@ -173,8 +170,8 @@ def _solve(solver: ExactSimplex, objective):
     [c_lo.x, b.y + max(0, max_j (c_hi - A^T y)_j)].  Invariant: row 0 of
     every program solved here is the all-ones normalization row with
     right-hand side 1, so raising y_0 by the shift makes any y dual-feasible
-    for c_hi.  A fresh solver makes the result history-free; a warm one may
-    return another optimal vertex of a non-unique optimum."""
+    for c_hi.  The result depends only on the solver's program and start
+    basis and on the objective, not on earlier passes."""
     exact = not isinstance(objective[0], Interval)
     c = [Fraction(v) for v in objective] if exact else [v.midpoint for v in objective]
     res = solver.maximize(c)
@@ -251,11 +248,10 @@ def full_constraint_labels(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     return _full_rows(n, k)[2]
 
 
-@lru_cache(maxsize=None)
-def _flip_solver(n: int, k: int) -> ExactSimplex:
-    """The flip-symmetric program for even k: one column per pair {x, ~x},
-    indexed by x - 2^(n-1) for the member x with the top bit set, and the
-    normalization and even-size parity rows of `_full_rows` only.
+def _flip_program(n: int, k: int) -> tuple[list[list[int]], list[int], list[int]]:
+    """(rows, rhs, start) of the flip-symmetric program for even k: one
+    column per pair {x, ~x}, indexed by x - 2^(n-1) for the member x with
+    the top bit set, and only the even-size rows of `_full_rows`.
 
     Phase 1 starts from the uniform law on the even-weight code (the sign
     vectors with an even number of minus signs) when n is even,
@@ -270,10 +266,20 @@ def _flip_solver(n: int, k: int) -> ExactSimplex:
     half = 1 << (n - 1)
     full, _, labels = _full_rows(n, k)
     rows = [row[half:] for row, t in zip(full, labels) if len(t) % 2 == 0]
-    start = ()
+    start = []
     if n % 2 == 0 and k <= n - 2 and n <= 2 * k + 2:
         start = [x - half for x in range(half, 1 << n) if x.bit_count() % 2 == 0]
-    return ExactSimplex(rows, [1] + [0] * (len(rows) - 1), start)
+    return rows, [1] + [0] * (len(rows) - 1), start
+
+
+@lru_cache(maxsize=None)
+def _flip_solver(n: int, k: int) -> ExactSimplex:
+    """The solver of `_flip_program(n, k)`.  Every solve on it starts from
+    one home basis, the optimum of the all-ones weights at p = 4 from phase
+    1's basis, so nearby objectives need few pivots."""
+    solver = ExactSimplex(*_flip_program(n, k))
+    solver.prepare([(2 * x.bit_count() - n) ** 4 for x in range(1 << (n - 1), 1 << n)])
+    return solver
 
 
 def _signed_sums(a: Weights) -> tuple[list[int], int]:
@@ -321,9 +327,7 @@ def solve_full(
     flip = (1 << n) - 1
     sums, den = _signed_sums(a)
     objective = _powers([Fraction(abs(v), den) for v in sums[half:]], pf, prec)
-    solver = _flip_solver(n, k - k % 2)
-    solver.prepare()
-    c, res, value = _solve(solver, objective)
+    c, res, value = _solve(_flip_solver(n, k - k % 2), objective)
     # atom x takes half the mass of its pair's column, whichever member it is
     pair = [(x if x >= half else x ^ flip) - half for x in range(1 << n)]
     law = [res.x[j] / 2 for j in pair]
@@ -350,34 +354,30 @@ def solve_full(
 
 
 def uniqueness_check(solution: LpSolution, n: int, p, k: int) -> bool:
-    """Decide whether the reduced program's optimal point is the only one.
-
-    Every optimizer must vanish outside the columns with zero reduced cost,
-    so the optimal face is the feasible set restricted to those columns;
-    each coordinate is maximized and minimized there, and the optimum is
-    unique exactly when every range collapses to a point."""
+    """Decide with one LP whether the reduced program's optimal point x* is
+    the only one (Mangasarian, "Uniqueness of solution in linear
+    programming", Linear Algebra Appl. 25, 1979).  The optimal face is the
+    feasible set on the columns Z of zero reduced cost.  x* is its only
+    point exactly when its support columns are independent (as start
+    columns they raise otherwise) and no face point has mass on Z off it."""
     if solution.kind != "reduced":
         raise ValueError("uniqueness is only decided for reduced solutions")
     if not isinstance(solution.optimal_value, Fraction):
         raise ValueError("uniqueness needs the exact path (integer exponent)")
     program = reduced_lp(n, p, k)
-    if len(solution.dual) != len(program.rows):
-        raise ValueError("solution does not match the stated program")
-    slack, _ = reduced_costs(program.rows, solution.dual, program.objective)
-    if any(s < 0 for s in slack):
-        raise ValueError("dual vector is not feasible for the stated program")
-    support = [j for j, s in enumerate(slack) if s == 0]
-    face_rows = [[row[j] for j in support] for row in program.rows]
-    face = ExactSimplex(face_rows, list(program.rhs))
     q = solution.optimizer.q
-    for t, j in enumerate(support):
-        unit = [Fraction(0)] * len(support)
-        unit[t] = Fraction(1)
-        if face.maximize(unit).value != q[j]:
-            return False
-        if face.minimize(unit).value != q[j]:
-            return False
-    return True
+    if not verify_certificate(program.rows, program.rhs, program.objective, q, solution.dual):
+        raise ValueError("solution is not a certified optimum of the stated program")
+    slack, _ = reduced_costs(program.rows, solution.dual, program.objective)
+    face = [j for j, s in enumerate(slack) if s == 0]
+    solver = ExactSimplex([[row[j] for j in face] for row in program.rows], program.rhs,
+                          start=[t for t, j in enumerate(face) if q[j]])
+    try:
+        # certified, so x* is feasible on the face: only dependence can raise
+        solver.prepare()
+    except ValueError:
+        return False
+    return solver.maximize([0 if q[j] else 1 for j in face]).value == 0
 
 
 @dataclass(frozen=True, slots=True)

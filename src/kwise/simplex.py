@@ -11,6 +11,9 @@ is recomputed as the leaving variable's column, so each row has n + 1
 entries however many artificials are still basic, and no pivot recomputes
 the zeros of an identity block.
 
+Every `maximize` pivots on a copy of one start tableau, set once by
+`prepare`, so its result never depends on earlier calls.
+
 Each row is kept fraction-free: an integer vector together with one
 positive integer divisor, reduced after every update by the gcd of the
 divisor with the row's content, instead of one divisor shared by the whole
@@ -66,11 +69,11 @@ class SimplexResult:
 
 
 class ExactSimplex:
-    """max/min of c.x subject to rows.x = rhs, x >= 0, over exact rationals.
+    """max of c.x subject to rows.x = rhs, x >= 0, over exact rationals.
 
-    Constraint data must be integer.  Phase 1 runs once and is cached; each
-    `maximize` resumes from the previous final basis when one exists, so
-    several objectives against the same constraints stay cheap.
+    Constraint data must be integer.  Every `maximize` starts from one
+    feasible basis, set once by `prepare`, and never changes it, so its
+    result depends only on the solver and c.
 
     Phase 1 first pivots in the `start` columns, each on the first row whose
     artificial is still basic and where the column has a nonzero entry, and
@@ -108,24 +111,25 @@ class ExactSimplex:
         self.rows = [list(r) for r in rows]
         self.rhs = list(rhs)
         self.start = start
-        # the feasible tableau each maximize starts from, as (rows, divisors,
-        # basis, nonbasic): phase 1's, then the previous maximize's final one
+        # the feasible tableau every maximize starts from, as (rows,
+        # divisors, basis, nonbasic); set once, by prepare
         self._tableau: tuple[list[list[int]], list[int], list[int], list[int]] | None = None
 
-    @property
-    def phase1_done(self) -> bool:
-        """True once a feasible basis has been found and cached."""
-        return self._tableau is not None
-
-    def prepare(self) -> None:
-        """Run phase 1 now (a no-op once it has run), so that its cost is
-        paid apart from the first objective's."""
+    def prepare(self, home: Sequence | None = None) -> None:
+        """Set the start basis once: phase 1's, or, given a `home` objective,
+        its optimum from phase 1's basis.  Later calls are no-ops, except
+        that a home then raises ValueError."""
         if self._tableau is None:
-            self._phase1()
+            start = self._phase1()
+            if home is not None:
+                self._run(home, *start)
+            self._tableau = start
+        elif home is not None:
+            raise ValueError("the start basis is already set")
 
     # -- phase 1 -----------------------------------------------------------
 
-    def _phase1(self) -> None:
+    def _phase1(self):
         n, m = self.n, self.m
         M: list[list[int]] = []
         for row, b in zip(self.rows, self.rhs):
@@ -153,7 +157,7 @@ class ExactSimplex:
             raise RuntimeError("program is infeasible")
         M.pop()
         divs.pop()
-        self._tableau = (M, divs, basis, nonbasic)
+        return M, divs, basis, nonbasic
 
     # -- core loop ----------------------------------------------------------
 
@@ -228,18 +232,19 @@ class ExactSimplex:
     # -- optimization -------------------------------------------------------
 
     def maximize(self, c: Sequence) -> SimplexResult:
-        """Any feasible basis is a valid simplex start, so each call resumes
-        from the previous call's final basis when one exists; related
-        objectives then need only a few pivots.  The dual weight of row i is
-        read off the objective row under the slot of artificial n + i, or is
-        0 while that artificial is basic."""
+        """Maximize c.x from the start basis (see `prepare`).  The dual
+        weight of row i is read off the objective row under the slot of
+        artificial n + i, or is 0 while that artificial is basic."""
+        if self._tableau is None:
+            self.prepare()
+        M, divs, basis, nonbasic = self._tableau
+        return self._run(c, [row[:] for row in M], divs[:], basis[:], nonbasic[:])
+
+    def _run(self, c: Sequence, M, divs, basis, nonbasic) -> SimplexResult:
+        """Optimize c from the feasible tableau given, pivoting in place."""
         cf = [Fraction(v) for v in c]
         if len(cf) != self.n:
             raise ValueError(f"objective length {len(cf)} != {self.n} columns")
-        if self._tableau is None:
-            self._phase1()
-        M, divs, basis, nonbasic = self._tableau
-        M, divs, basis, nonbasic = [row[:] for row in M], divs[:], basis[:], nonbasic[:]
         n, m = self.n, self.m
         # objective row holds true reduced costs over one divisor: start from
         # -c and add back the basic rows' contributions on one common scale
@@ -263,8 +268,8 @@ class ExactSimplex:
         for i in range(m):
             if basis[i] < n:
                 x[basis[i]] = Fraction(M[i][n], divs[i])
-        obj = M[m]
-        dob = divs[m]
+        obj = M.pop()
+        dob = divs.pop()
         # the artificial of a negated row stands for minus the original one
         y = [Fraction(0)] * m
         for s, j in enumerate(nonbasic):
@@ -272,14 +277,7 @@ class ExactSimplex:
                 i = j - n
                 y[i] = Fraction(-obj[s] if self.rhs[i] < 0 else obj[s], dob)
         value = Fraction(obj[n], dob)
-        M.pop()
-        divs.pop()
-        self._tableau = (M, divs, basis, nonbasic)
         return SimplexResult(value, tuple(x), tuple(y))
-
-    def minimize(self, c: Sequence) -> SimplexResult:
-        res = self.maximize([-Fraction(v) for v in c])
-        return SimplexResult(-res.value, res.x, tuple(-v for v in res.y))
 
 
 def _pivot(M: list[list[int]], divs: list[int], r: int, s: int) -> None:

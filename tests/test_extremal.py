@@ -1,7 +1,9 @@
 """Extremal moment programs: class coefficients, both LP routes, uniqueness
 probing, and the sharp-support test."""
+import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -23,7 +25,7 @@ from kwise.extremal import (
 )
 from kwise.intervals import Interval, rational_power
 from kwise.moments import Weights, pth_moment
-from kwise.simplex import ExactSimplex
+from kwise.simplex import ExactSimplex, reduced_costs
 
 
 def dot_bits(a: Weights, bits: int) -> Fraction:
@@ -223,6 +225,82 @@ class TestOptimizer:
             uniqueness_check(good, 6, 4, 3)  # dual length mismatch
 
 
+
+def range_uniqueness(solution: LpSolution, n: int, p, k: int) -> bool:
+    """Reference decision: maximize and minimize each coordinate over the
+    optimal face (the columns with zero reduced cost); the optimum is unique
+    exactly when every range collapses to the optimizer's coordinate."""
+    program = reduced_lp(n, p, k)
+    slack, _ = reduced_costs(program.rows, solution.dual, program.objective)
+    face = [j for j, s in enumerate(slack) if s == 0]
+    solver = ExactSimplex([[row[j] for j in face] for row in program.rows], program.rhs)
+    q = solution.optimizer.q
+    for t, j in enumerate(face):
+        for sign in (1, -1):
+            unit = [0] * len(face)
+            unit[t] = sign
+            if sign * solver.maximize(unit).value != q[j]:
+                return False
+    return True
+
+
+class TestUniquenessCheck:
+    GRID_N = tuple(range(1, 25)) + (30, 41, 64, 100, 200)
+
+    def test_agrees_with_per_coordinate_ranges(self, monkeypatch):
+        calls = [0]
+        real = ExactSimplex.maximize
+
+        def counted(self, c):
+            calls[0] += 1
+            return real(self, c)
+
+        decisions = []
+        for n in self.GRID_N:
+            for k in range(1, min(6, n) + 1):
+                for p in range(1, 9):
+                    sol = solve_reduced(n, p, k)
+                    assert sol.certificate_ok is True
+                    with monkeypatch.context() as m:
+                        m.setattr(ExactSimplex, "maximize", counted)
+                        calls[0] = 0
+                        got = uniqueness_check(sol, n, p, k)
+                        assert calls[0] <= 1, (n, p, k)
+                    assert got == range_uniqueness(sol, n, p, k), (n, p, k)
+                    decisions.append(got)
+        assert (len(decisions), sum(decisions)) == (1272, 763)
+
+    def test_non_vertex_optimum_is_not_unique(self):
+        # at p = 2 every pairwise independent profile is optimal; the midpoint
+        # of two distinct vertices is optimal but not a vertex
+        n, p, k = 6, 2, 2
+        program = reduced_lp(n, p, k)
+        solver = ExactSimplex(program.rows, program.rhs)
+        ends = [solver.maximize([1 if m == j else 0 for m in range(n + 1)]).x for j in (0, n // 2)]
+        assert ends[0] != ends[1]
+        mid = tuple((u + v) / 2 for u, v in zip(*ends))
+        sol = solve_reduced(n, p, k)
+        mixed = LpSolution("reduced", n, Fraction(p), k, sol.optimal_value,
+                           WeightProfile(n, mid), sol.dual, True)
+        assert uniqueness_check(mixed, n, p, k) is False
+        assert range_uniqueness(mixed, n, p, k) is False
+
+    def test_mass_on_positive_reduced_cost_is_rejected(self):
+        # the binomial profile of the independent law is feasible at every
+        # order, but not optimal at p = 4: it weighs columns the dual prices
+        # above the objective
+        n, p, k = 6, 4, 2
+        sol = solve_reduced(n, p, k)
+        program = reduced_lp(n, p, k)
+        slack, _ = reduced_costs(program.rows, sol.dual, program.objective)
+        assert any(slack)
+        binomial = tuple(Fraction(comb(n, m), 2**n) for m in range(n + 1))
+        bad = LpSolution("reduced", n, Fraction(p), k, sol.optimal_value,
+                         WeightProfile(n, binomial), sol.dual, True)
+        with pytest.raises(ValueError, match="certified"):
+            uniqueness_check(bad, n, p, k)
+
+
 class TestHistory:
     """What an earlier solve in the same process may change."""
 
@@ -239,9 +317,9 @@ class TestHistory:
         assert fingerprint() == first
 
     def test_full_route_keeps_value_and_certificate(self):
-        # the flip solver is shared by k and k + 1 for even k and resumes
-        # from the previous objective's basis, so a non-unique optimizer may
-        # move; the value and the certificate may not
+        # the flip solver is shared by k and k + 1 for even k; every solve on
+        # it starts from the same home basis, so the whole solution, optimizer
+        # and dual included, is the fresh one
         cases = ((7, 4, 3, ((5, 4), (4, 5))), (7, 4, 4, ((3, 4), (6, 5))),
                  (8, 2, 3, ((4, 2), (5, 3), (6, 2))), (8, 2, 6, ((3, 3), (4, 2))))
         for n, k, p, others in cases:
@@ -250,8 +328,27 @@ class TestHistory:
             for q, k2 in others:
                 solve_full(n, q, k2)
             again = solve_full(n, p, k)
-            assert again.optimal_value == fresh.optimal_value, (n, k, p)
-            assert fresh.certificate_ok is True and again.certificate_ok is True
+            assert again.to_json() == fresh.to_json(), (n, k, p)
+            assert fresh.certificate_ok is True
+
+    def test_seeded_histories_keep_the_whole_solution(self):
+        # weighted and all-ones cells in seeded order, each history on the
+        # target's dimension, so that it runs on the target's flip solvers
+        base = ("1", "2", "1", "1", "3", "1", "1/2", "1")
+
+        def cell(rng, n):
+            a = Weights.from_strings(base[:n]) if rng.random() < 0.5 else None
+            return rng.randint(2, 6), rng.randint(2, 4), a
+
+        for seed in range(12):
+            rng = random.Random(seed)
+            n = rng.randint(5, 8)
+            p, k, a = cell(rng, n)
+            extremal._flip_solver.cache_clear()
+            fresh = solve_full(n, p, k, a).to_json()
+            for _ in range(3):
+                solve_full(n, *cell(rng, n))
+            assert solve_full(n, p, k, a).to_json() == fresh, seed
 
 
 class TestFullProgram:
@@ -363,8 +460,6 @@ class TestFlipSymmetry:
         out = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, check=True
         ).stdout
-        # a solver resumes from its last basis, so start this one fresh too
-        extremal._flip_solver.cache_clear()
         here = solve_full(6, 5, 3).to_json()
         assert json.loads(out) == here
 
@@ -377,13 +472,13 @@ class TestFlipSymmetry:
     def test_code_start_exactly_where_it_is_a_basis(self):
         for n in range(1, 9):
             for k in range(1, n + 1):
-                start = extremal._flip_solver(n, k - k % 2).start
+                start = extremal._flip_program(n, k - k % 2)[2]
                 if self.code_start_applies(n, k):
                     half = 1 << (n - 1)
                     assert len(start) == 1 << (n - 2), (n, k)
                     assert all((x + half).bit_count() % 2 == 0 for x in start), (n, k)
                 else:
-                    assert start == (), (n, k)
+                    assert start == [], (n, k)
 
     def test_code_start_cells_agree_with_reduced(self):
         for n in range(1, 9):
@@ -410,9 +505,8 @@ class TestFlipSymmetry:
 
         monkeypatch.setattr(simplex, "_pivot", counted)
         for n, k, want in ((8, 4, 64), (6, 2, 16)):
-            extremal._flip_solver.cache_clear()
             pivots.clear()
-            extremal._flip_solver(n, k).prepare()
+            ExactSimplex(*extremal._flip_program(n, k)).prepare()
             assert len(pivots) == want, (n, k)
 
     def test_perturbed_mass_fails_the_full_certificate(self, monkeypatch):

@@ -1,5 +1,5 @@
 """Golden pins on the exact simplex's path through the flip-symmetric
-programs: the pivot count of each phase and a digest of a warm sequence of
+programs: the pivot count of each phase and a digest of a sequence of
 `solve_full` results.  Any change to the tableau's layout must leave both
 unchanged, since the entering and leaving rules read only true values."""
 import hashlib
@@ -9,17 +9,19 @@ from fractions import Fraction
 from kwise import extremal, simplex
 from kwise.extremal import solve_full
 from kwise.moments import Weights
+from kwise.simplex import ExactSimplex
 
-# (n, k) of the flip solver, phase-1 pivots from a fresh solver, then
-# (p, pivots) for each solve_full that follows on the same warm solver
+# (n, k) of the flip program, phase-1 pivots, the home solve's pivots on top
+# of them when the flip solver is built, then (p, pivots) for solve_full
+# calls from the home basis
 PIVOT_PATH = (
-    (8, 4, 64, ((4, 35), (5, 51))),
-    (8, 2, 38, ((3, 48),)),
-    (7, 4, 57, ((5, 13),)),
+    (8, 4, 64, 35, ((4, 0), (5, 51))),
+    (8, 2, 38, 49, ((3, 2),)),
+    (7, 4, 57, 0, ((5, 13),)),
 )
 
-# a warm sequence over several solvers: all-ones and weighted, integer and
-# fractional p, each solver resuming from the previous objective's basis
+# a sequence over several solvers: all-ones and weighted, integer and
+# fractional p, several objectives on each solver
 WARM_SEQUENCE = (
     (6, 4, 2, None),
     (6, 5, 3, None),
@@ -32,7 +34,7 @@ WARM_SEQUENCE = (
     (8, 3, 2, ("1", "1", "2", "2", "1", "1/2", "1", "1")),
     (8, 6, 2, None),
 )
-WARM_DIGEST = "8112e52827e6b2d5da16a72ac8222f9d41eefb7d68a61a9c0b72c9a37a9da3b6"
+WARM_DIGEST = "75fbdc0d08e694ee4e5189dcea46eed5078b50aa19ee3178c19e0f2916a6a969"
 
 
 def test_pivot_counts_per_phase(monkeypatch):
@@ -44,11 +46,14 @@ def test_pivot_counts_per_phase(monkeypatch):
         real(*args)
 
     monkeypatch.setattr(simplex, "_pivot", counted)
-    for n, k, phase1, solves in PIVOT_PATH:
+    for n, k, phase1, home, solves in PIVOT_PATH:
         extremal._flip_solver.cache_clear()
         count[0] = 0
-        extremal._flip_solver(n, k).prepare()
+        ExactSimplex(*extremal._flip_program(n, k)).prepare()
         assert count[0] == phase1, (n, k)
+        count[0] = 0
+        extremal._flip_solver(n, k)
+        assert count[0] == phase1 + home, (n, k)
         for p, want in solves:
             count[0] = 0
             solve_full(n, p, k)

@@ -15,12 +15,11 @@ def test_probability_simplex_picks_best_coefficient():
     res = solver.maximize(c)
     assert res.value == 7
     assert sum(res.x) == 1 and min(res.x) >= 0
-    low = solver.minimize(c)
-    assert low.value == 2
-    # a minimum of c.x is certified as the maximum of -c.x with the dual -y
+    # a minimum of c.x is the maximum of -c.x, certified with its own dual
     neg_c = [-v for v in c]
-    neg_y = [-v for v in low.y]
-    assert verify_certificate(solver.rows, solver.rhs, neg_c, low.x, neg_y)
+    low = solver.maximize(neg_c)
+    assert low.value == -2
+    assert verify_certificate(solver.rows, solver.rhs, neg_c, low.x, low.y)
 
 
 def test_two_constraint_exact_solution():
@@ -245,13 +244,48 @@ def test_results_are_fractions():
 
 def test_prepare_runs_phase1_once():
     solver = ExactSimplex([[1, 1]], [1])
-    assert not solver.phase1_done
+    assert solver._tableau is None
     solver.prepare()
-    assert solver.phase1_done
+    start = solver._tableau
+    assert start is not None
     solver.prepare()  # second call is a no-op
+    assert solver._tableau is start
     assert solver.maximize([Fraction(1), Fraction(0)]).value == 1
     res = solver.maximize([Fraction(0), Fraction(1)])
     assert res.value == 1
+    # maximize never reassigns the start tableau
+    assert solver._tableau is start
+
+
+def test_maximize_does_not_depend_on_earlier_objectives():
+    # c ties x0 with x1, so which of the two comes back depends only on the
+    # start basis; a solver that resumed from its last basis would return
+    # x1 after the second objective
+    rows, rhs = [[1, 1, 1, 1], [1, 1, 2, 0]], [2, 2]
+    c = [Fraction(1), Fraction(1), Fraction(0), Fraction(0)]
+    others = ([0, 1, 0, 0], [0, 0, 0, 1], [-1, 2, 1, 0], [0, 0, 1, 0])
+    solver = ExactSimplex(rows, rhs)
+    first = solver.maximize(c)
+    snapshot = [row[:] for row in solver._tableau[0]], list(solver._tableau[2])
+    for other in others:
+        solver.maximize([Fraction(v) for v in other])
+        assert solver.maximize(c) == first
+    assert ([row[:] for row in solver._tableau[0]], list(solver._tableau[2])) == snapshot
+    assert first == ExactSimplex(rows, rhs).maximize(c)
+
+
+def test_home_objective_sets_the_start_basis():
+    rows, rhs = [[1, 1, 1, 1]], [1]
+    home = [Fraction(0), Fraction(0), Fraction(5), Fraction(1)]
+    solver = ExactSimplex(rows, rhs)
+    solver.prepare(home)
+    assert solver._tableau[2] == [2]
+    # c ties x0 with x2: from the home basis x2 is already optimal
+    c = [Fraction(1), Fraction(0), Fraction(1), Fraction(0)]
+    assert solver.maximize(c).x == (0, 0, 1, 0)
+    assert ExactSimplex(rows, rhs).maximize(c).x == (1, 0, 0, 0)
+    with pytest.raises(ValueError, match="already set"):
+        solver.prepare(home)
 
 
 def test_start_columns_give_the_same_certified_optimum():
