@@ -248,24 +248,18 @@ class TestUniquenessCheck:
     GRID_N = tuple(range(1, 25)) + (30, 41, 64, 100, 200)
 
     def test_agrees_with_per_coordinate_ranges(self, monkeypatch):
-        calls = [0]
+        calls = []
         real = ExactSimplex.maximize
-
-        def counted(self, c):
-            calls[0] += 1
-            return real(self, c)
-
+        monkeypatch.setattr(ExactSimplex, "maximize", lambda self, c: calls.append(c) or real(self, c))
         decisions = []
         for n in self.GRID_N:
             for k in range(1, min(6, n) + 1):
                 for p in range(1, 9):
                     sol = solve_reduced(n, p, k)
                     assert sol.certificate_ok is True
-                    with monkeypatch.context() as m:
-                        m.setattr(ExactSimplex, "maximize", counted)
-                        calls[0] = 0
-                        got = uniqueness_check(sol, n, p, k)
-                        assert calls[0] <= 1, (n, p, k)
+                    calls.clear()
+                    got = uniqueness_check(sol, n, p, k)
+                    assert len(calls) <= 1, (n, p, k)
                     assert got == range_uniqueness(sol, n, p, k), (n, p, k)
                     decisions.append(got)
         assert (len(decisions), sum(decisions)) == (1272, 763)
