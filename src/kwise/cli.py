@@ -184,8 +184,7 @@ def _cmd_constant(args) -> dict:
     else:
         if args.a is not None:
             raise ValueError("--a applies to the unreduced program only (use --full)")
-        exact = Fraction(args.p).denominator == 1
-        sol = solve_reduced(args.n, args.p, args.k, prec=prec, check_unique=exact)
+        sol = solve_reduced(args.n, args.p, args.k, prec=prec, check_unique=True)
         l2sq = Fraction(args.n)
     ratio = ratio_from_moment(sol.optimal_value, args.p, l2sq, prec)
     lo, hi = ratio.decimal_bounds(DIGITS)
@@ -264,7 +263,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def fmt(p):
         p.add_argument("--format", choices=("json", "csv", "table"), default="json")
-        p.add_argument("--precision-bits", type=_int_up_to(MAX_PRECISION_BITS), default=DEFAULT_PREC)
 
     p = sub.add_parser("construct", help="build a named sample space")
     p.add_argument("--construct", choices=sorted(CONSTRUCTIONS), required=True)
@@ -323,6 +321,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_int_list, default=[2])
     fmt(p)
 
+    for name in ("moment", "bound", "constant", "table"):  # the subcommands that read it
+        sub.choices[name].add_argument("--precision-bits", type=_int_up_to(MAX_PRECISION_BITS), default=DEFAULT_PREC)
     return parser
 
 

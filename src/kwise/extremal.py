@@ -10,7 +10,7 @@ re-checked by the independent certificate verifier in `simplex`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -115,7 +115,7 @@ def _validate(n, p, k, n_cap) -> Fraction:
 Value = Union[Fraction, Interval]
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class LpSolution:
     """Outcome of one extremal program.
 
@@ -212,7 +212,7 @@ def solve_reduced(
         prec=prec,
     )
     if check_unique and isinstance(value, Fraction):
-        sol.unique = uniqueness_check(sol, n, p, k)
+        sol = replace(sol, unique=uniqueness_check(sol))
     return sol
 
 
@@ -274,11 +274,11 @@ def _flip_program(n: int, k: int) -> tuple[list[list[int]], list[int], list[int]
 
 @lru_cache(maxsize=None)
 def _flip_solver(n: int, k: int) -> ExactSimplex:
-    """The solver of `_flip_program(n, k)`.  Every solve on it starts from
-    one home basis, the optimum of the all-ones weights at p = 4 from phase
-    1's basis, so nearby objectives need few pivots."""
-    solver = ExactSimplex(*_flip_program(n, k))
-    solver.prepare([(2 * x.bit_count() - n) ** 4 for x in range(1 << (n - 1), 1 << n)])
+    """The solver of `_flip_program(n, k)`, prepared, with the all-ones p = 4
+    objective as its home, so that nearby objectives need few pivots."""
+    home = [(2 * x.bit_count() - n) ** 4 for x in range(1 << (n - 1), 1 << n)]
+    solver = ExactSimplex(*_flip_program(n, k), home=home)
+    solver.prepare()
     return solver
 
 
@@ -353,18 +353,19 @@ def solve_full(
     )
 
 
-def uniqueness_check(solution: LpSolution, n: int, p, k: int) -> bool:
-    """Decide with one LP whether the reduced program's optimal point x* is
-    the only one (Mangasarian, "Uniqueness of solution in linear
-    programming", Linear Algebra Appl. 25, 1979).  The optimal face is the
-    feasible set on the columns Z of zero reduced cost.  x* is its only
-    point exactly when its support columns are independent (as start
-    columns they raise otherwise) and no face point has mass on Z off it."""
+def uniqueness_check(solution: LpSolution) -> bool:
+    """Decide with one LP whether a reduced solution's optimizer x* is the only
+    optimum of the program of its n, p and k, on which it is re-certified
+    (Mangasarian, "Uniqueness of solution in linear programming", Linear
+    Algebra Appl. 25, 1979).  The optimal face is the feasible set on the
+    columns Z of zero reduced cost.  x* is its only point exactly when its
+    support columns are independent (as start columns they raise otherwise)
+    and no face point has mass on Z off it."""
     if solution.kind != "reduced":
         raise ValueError("uniqueness is only decided for reduced solutions")
     if not isinstance(solution.optimal_value, Fraction):
         raise ValueError("uniqueness needs the exact path (integer exponent)")
-    program = reduced_lp(n, p, k)
+    program = reduced_lp(solution.n, solution.p, solution.k)
     q = solution.optimizer.q
     if not verify_certificate(program.rows, program.rhs, program.objective, q, solution.dual):
         raise ValueError("solution is not a certified optimum of the stated program")

@@ -11,8 +11,8 @@ is recomputed as the leaving variable's column, so each row has n + 1
 entries however many artificials are still basic, and no pivot recomputes
 the zeros of an identity block.
 
-Every `maximize` pivots on a copy of one start tableau, set once by
-`prepare`, so its result never depends on earlier calls.
+Every `maximize` pivots on a copy of one start tableau, fixed by the
+constructor's `start` and `home`, so no result depends on earlier calls.
 
 Each row is kept fraction-free: an integer vector together with one
 positive integer divisor, reduced after every update by the gcd of the
@@ -72,8 +72,8 @@ class ExactSimplex:
     """max of c.x subject to rows.x = rhs, x >= 0, over exact rationals.
 
     Constraint data must be integer.  Every `maximize` starts from one
-    feasible basis, set once by `prepare`, and never changes it, so its
-    result depends only on the solver and c.
+    feasible basis, phase 1's or else the optimum of `home` from it, so its
+    result depends only on the constructor's arguments and c.
 
     Phase 1 first pivots in the `start` columns, each on the first row whose
     artificial is still basic and where the column has a nonzero entry, and
@@ -91,6 +91,7 @@ class ExactSimplex:
         rows: Sequence[Sequence[int]],
         rhs: Sequence[int],
         start: Sequence[int] = (),
+        home: Sequence | None = None,
     ):
         if not rows:
             raise ValueError("no constraint rows")
@@ -103,29 +104,26 @@ class ExactSimplex:
             not isinstance(v, int) for v in rhs
         ):
             raise ValueError("constraint data must be integer")
-        start = tuple(start)
-        if any(not 0 <= j < n for j in start):
+        self.start = tuple(start)
+        if any(not 0 <= j < n for j in self.start):
             raise ValueError("start column out of range")
         self.n = n
         self.m = len(rows)
         self.rows = [list(r) for r in rows]
         self.rhs = list(rhs)
-        self.start = start
+        self.home = None if home is None else tuple(home)
         # the feasible tableau every maximize starts from, as (rows,
-        # divisors, basis, nonbasic); set once, by prepare
+        # divisors, basis, nonbasic); built once, by prepare
         self._tableau: tuple[list[list[int]], list[int], list[int], list[int]] | None = None
 
-    def prepare(self, home: Sequence | None = None) -> None:
-        """Set the start basis once: phase 1's, or, given a `home` objective,
-        its optimum from phase 1's basis.  Later calls are no-ops, except
-        that a home then raises ValueError."""
+    def prepare(self) -> None:
+        """Build the start tableau, once: phase 1, then the optimum of the
+        home objective if there is one.  The first `maximize` calls it."""
         if self._tableau is None:
             start = self._phase1()
-            if home is not None:
-                self._run(home, *start)
+            if self.home is not None:
+                self._run(self.home, *start)
             self._tableau = start
-        elif home is not None:
-            raise ValueError("the start basis is already set")
 
     # -- phase 1 -----------------------------------------------------------
 

@@ -142,6 +142,22 @@ class TestInputBounds:
         assert code == 2
         assert "--reduced" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("construct", "--construct", "partition", "--n", "4"),
+            ("verify", "--construct", "partition", "--n", "4", "--k", "2"),
+            ("sample", "--kind", "partition", "--n", "4"),
+            ("estimate", "--kind", "partition", "--n", "4", "--p", "4", "--samples", "100"),
+        ],
+    )
+    def test_precision_bits_only_where_read(self, capsys, argv):
+        assert invoke(capsys, *argv)[0] == 0
+        code, out, err = invoke(capsys, *argv, "--precision-bits", "64")
+        assert code == 2
+        assert out == ""
+        assert "usage:" in err and "--precision-bits" in err
+
 
 class TestLargeOrders:
     """Orders whose single-root radicands would run to thousands of digits:

@@ -38,33 +38,35 @@ def command(name, *parts):
     return st.tuples(*parts).map(lambda ps: [name] + [a for p in ps for a in p])
 
 
-common = st.tuples(
-    opt("--format", st.sampled_from(["json", "csv", "table"])),
-    opt("--precision-bits", st.sampled_from(["1", "2", "16", "128", "0"])),
+fmt = opt("--format", st.sampled_from(["json", "csv", "table"]))
+# only moment, bound, constant and table take --precision-bits; the others
+# would reject it as a usage error before reaching their success paths
+precise = st.tuples(
+    fmt, opt("--precision-bits", st.sampled_from(["1", "2", "16", "128", "0"]))
 ).map(lambda ps: ps[0] + ps[1])
 
 argvs = st.one_of(
-    command("construct", flag("--construct", constructions), flag("--n", small_int), common),
+    command("construct", flag("--construct", constructions), flag("--n", small_int), fmt),
     command("verify", flag("--construct", constructions), flag("--n", small_int),
-            flag("--k", small_int), common),
+            flag("--k", small_int), fmt),
     command("moment", flag("--construct", constructions), flag("--n", small_int),
-            flag("--p", order), opt("--a", weights), common),
+            flag("--p", order), opt("--a", weights), precise),
     command("bound", flag("--kind", st.sampled_from(["haagerup", "interpolation", "sharp"])),
-            opt("--n", small_int), opt("--p", order), opt("--k", small_int), common),
+            opt("--n", small_int), opt("--p", order), opt("--k", small_int), precise),
     # the unreduced program is kept to n <= 8: its size doubles with n
     command("constant", flag("--n", small_int), flag("--p", order), flag("--k", small_int),
             st.sampled_from([[], ["--full"]]),
-            opt("--a", weights), common).filter(
+            opt("--a", weights), precise).filter(
                 lambda a: "--full" not in a or int(a[a.index("--n") + 1]) <= 8),
     command("sample", flag("--kind", kinds), flag("--n", small_int),
             opt("--seed", st.integers(-3, 2**64).map(str)),
-            opt("--samples", st.integers(-1, 500).map(str)), common),
+            opt("--samples", st.integers(-1, 500).map(str)), fmt),
     command("estimate", flag("--kind", kinds), flag("--n", small_int), flag("--p", order),
             opt("--a", weights), opt("--seed", st.integers(-3, 2**64).map(str)),
-            opt("--samples", st.integers(-1, 500).map(str)), common),
+            opt("--samples", st.integers(-1, 500).map(str)), fmt),
     command("table", opt("--n", st.lists(small_int, min_size=1, max_size=3).map(",".join)),
             opt("--p", st.lists(order, min_size=1, max_size=2).map(",".join)),
-            opt("--k", st.lists(small_int, min_size=1, max_size=3).map(",".join)), common),
+            opt("--k", st.lists(small_int, min_size=1, max_size=3).map(",".join)), precise),
 )
 
 

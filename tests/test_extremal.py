@@ -1,5 +1,6 @@
 """Extremal moment programs: class coefficients, both LP routes, uniqueness
 probing, and the sharp-support test."""
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -216,13 +217,19 @@ class TestOptimizer:
     def test_uniqueness_requires_reduced_exact(self):
         full = solve_full(4, 4, 2)
         with pytest.raises(ValueError, match="reduced"):
-            uniqueness_check(full, 4, 4, 2)
+            uniqueness_check(full)
         frac = solve_reduced(4, Fraction(5, 2), 2)
         with pytest.raises(ValueError, match="exact"):
-            uniqueness_check(frac, 4, Fraction(5, 2), 2)
+            uniqueness_check(frac)
         good = solve_reduced(6, 4, 2)
         with pytest.raises(ValueError):
-            uniqueness_check(good, 6, 4, 3)  # dual length mismatch
+            uniqueness_check(dataclasses.replace(good, k=3))  # dual length mismatch
+
+    def test_solution_is_frozen(self):
+        sol = solve_reduced(6, 4, 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sol.unique = True
+        assert sol.unique is None
 
 
 
@@ -258,7 +265,7 @@ class TestUniquenessCheck:
                     sol = solve_reduced(n, p, k)
                     assert sol.certificate_ok is True
                     calls.clear()
-                    got = uniqueness_check(sol, n, p, k)
+                    got = uniqueness_check(sol)
                     assert len(calls) <= 1, (n, p, k)
                     assert got == range_uniqueness(sol, n, p, k), (n, p, k)
                     decisions.append(got)
@@ -276,7 +283,7 @@ class TestUniquenessCheck:
         sol = solve_reduced(n, p, k)
         mixed = LpSolution("reduced", n, Fraction(p), k, sol.optimal_value,
                            WeightProfile(n, mid), sol.dual, True)
-        assert uniqueness_check(mixed, n, p, k) is False
+        assert uniqueness_check(mixed) is False
         assert range_uniqueness(mixed, n, p, k) is False
 
     def test_mass_on_positive_reduced_cost_is_rejected(self):
@@ -292,7 +299,7 @@ class TestUniquenessCheck:
         bad = LpSolution("reduced", n, Fraction(p), k, sol.optimal_value,
                          WeightProfile(n, binomial), sol.dual, True)
         with pytest.raises(ValueError, match="certified"):
-            uniqueness_check(bad, n, p, k)
+            uniqueness_check(bad)
 
 
 class TestHistory:

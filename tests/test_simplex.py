@@ -277,15 +277,13 @@ def test_maximize_does_not_depend_on_earlier_objectives():
 def test_home_objective_sets_the_start_basis():
     rows, rhs = [[1, 1, 1, 1]], [1]
     home = [Fraction(0), Fraction(0), Fraction(5), Fraction(1)]
-    solver = ExactSimplex(rows, rhs)
-    solver.prepare(home)
+    solver = ExactSimplex(rows, rhs, home=home)
+    solver.prepare()
     assert solver._tableau[2] == [2]
     # c ties x0 with x2: from the home basis x2 is already optimal
     c = [Fraction(1), Fraction(0), Fraction(1), Fraction(0)]
     assert solver.maximize(c).x == (0, 0, 1, 0)
     assert ExactSimplex(rows, rhs).maximize(c).x == (1, 0, 0, 0)
-    with pytest.raises(ValueError, match="already set"):
-        solver.prepare(home)
 
 
 def test_start_columns_give_the_same_certified_optimum():
