@@ -25,6 +25,16 @@ from .simplex import ExactSimplex, reduced_costs, verify_certificate
 
 MAX_REDUCED_DIMENSION = 10_000
 MAX_FULL_DIMENSION = 12
+# Work bounds, checked before any row is built.  Solve time follows the row
+# count far more than n.  On a 2-core host (Python 3.11, p = 4) the reduced
+# program with its uniqueness check takes 20 s at (n, k) = (6817, 10), the
+# largest n admitted at k = 10, but 25 s at (500, 24) with a sixth of the
+# entries.  The flip-symmetric program that solve_full runs takes about
+# 30 s at (10, 4) and (12, 2), and more than 90 s at (11, 4).  Its rows
+# never outnumber its columns, so its entry bound bounds its rows too.
+MAX_REDUCED_ROWS = 11
+MAX_REDUCED_ENTRIES = 75_000
+MAX_FULL_ENTRIES = 140_000
 
 ODD_DIMENSION_NOTE = (
     "odd dimension: value is the exact program optimum; "
@@ -54,7 +64,10 @@ def parity_class_coefficient(n: int, j: int, m: int) -> Fraction:
     return Fraction(parity_class_sum(n, j, m), comb(n, j))
 
 
-@lru_cache(maxsize=None)
+# The three program caches are bounded.  Each holds at least twice the
+# programs that criterion 09 or one benchmark workload uses, so none of
+# those rebuilds a program; a long `table` sweep no longer keeps them all.
+@lru_cache(maxsize=128)
 def _reduced_rows(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     rows = [tuple([1] * (n + 1))]
     rows += [
@@ -82,7 +95,7 @@ def reduced_lp(n: int, p, k: int, prec: int = DEFAULT_PREC) -> ReducedLp:
     Integer p gives exact integer objective coefficients |2m - n|^p; other
     rational p gives certified Interval coefficients at precision `prec`.
     """
-    pf = _validate(n, p, k, MAX_REDUCED_DIMENSION)
+    pf = _validate(n, p, k, full=False)
     rows, rhs = _reduced_rows(n, k)
     obj = _powers([abs(2 * m - n) for m in range(n + 1)], pf, prec)
     return ReducedLp(n, k, tuple(obj), rows, rhs)
@@ -97,15 +110,28 @@ def _powers(bases, p: Fraction, prec: int) -> list:
     return [memo[b] for b in bases]
 
 
-def _validate(n, p, k, n_cap) -> Fraction:
+def _validate(n, p, k, full: bool) -> Fraction:
+    """The exponent as a Fraction, once n, p and k are checked and the
+    program's size is within its route's bounds: k + 1 rows by n + 1
+    columns for the reduced program, and for the flip-symmetric one the
+    even-size parity rows by 2^(n-1) columns."""
     if not isinstance(n, int) or not isinstance(k, int):
         raise TypeError("dimension and independence order must be integers")
     if n < 1:
         raise ValueError(f"dimension must be positive, got {n}")
+    n_cap = MAX_FULL_DIMENSION if full else MAX_REDUCED_DIMENSION
     if n > n_cap:
         raise ValueError(f"dimension too large: {n} > {n_cap}")
     if not 1 <= k <= n:
         raise ValueError(f"independence order must be in [1, {n}], got {k}")
+    if full:
+        rows, cols, cap = sum(comb(n, j) for j in range(0, k + 1, 2)), 1 << (n - 1), MAX_FULL_ENTRIES
+    else:
+        rows, cols, cap = k + 1, n + 1, MAX_REDUCED_ENTRIES
+        if rows > MAX_REDUCED_ROWS:
+            raise ValueError(f"program too large: {rows} rows > {MAX_REDUCED_ROWS}")
+    if rows * cols > cap:
+        raise ValueError(f"program too large: {rows} rows x {cols} columns > {cap} entries")
     pf = Fraction(p)
     if pf < 1:
         raise ValueError(f"exponent must be at least 1, got {p}")
@@ -228,7 +254,7 @@ def _parity_row(subset: tuple[int, ...], columns) -> tuple[int, ...]:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _full_rows(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """Constraint rows of the unreduced program: normalization, then the
     parity row of every coordinate subset of size 1..k, in size-then-lex
@@ -272,7 +298,7 @@ def _flip_program(n: int, k: int) -> tuple[list[list[int]], list[int], list[int]
     return rows, [1] + [0] * (len(rows) - 1), start
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _flip_solver(n: int, k: int) -> ExactSimplex:
     """The solver of `_flip_program(n, k)`, prepared, with the all-ones p = 4
     objective as its home, so that nearby objectives need few pivots."""
@@ -318,7 +344,7 @@ def solve_full(
     the odd-size rows, and the certificate is checked against the unreduced
     rows.  The two programs share their optimum, so the weak-duality end of
     a fractional-p enclosure is taken on the flip-symmetric one."""
-    pf = _validate(n, p, k, MAX_FULL_DIMENSION)
+    pf = _validate(n, p, k, full=True)
     if a is None:
         a = Weights.all_ones(n)
     if a.n != n:

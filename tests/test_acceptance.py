@@ -14,6 +14,7 @@ from kwise.constructions import (
     xor_space,
 )
 from kwise.extremal import (
+    equality_support_check,
     parity_class_coefficient,
     solve_full,
     solve_reduced,
@@ -198,3 +199,23 @@ def test_criterion_11_class_coefficients(capsys):
                     assert parity_class_coefficient(n, j, m) == brute_class_average(
                         n, j, m
                     ), (n, j, m)
+
+
+def test_criterion_12_equality_not_unique(capsys):
+    with criterion(capsys, 12, "pairwise equality law not unique; unique among exchangeable ones") as d:
+        n, p, k = 8, 4, 2
+        a = Weights.all_ones(n)
+        optimum = solve_full(n, p, k).optimal_value
+        assert optimum == Fraction(n) ** (p - 1)
+        xor, partition = xor_space(3), partition_space(n)
+        assert (xor.n, partition.n) == (n, n)
+        assert xor.masses != partition.masses
+        assert (len(xor.masses), len(partition.masses)) == (16, 72)
+        assert not check_exchangeable(xor)
+        assert check_exchangeable(partition)
+        for space in (xor, partition):
+            assert check_kwise(space, k).passed
+            assert equality_support_check(space, a, p)
+            assert pth_moment(space, a, p).value == optimum
+        assert solve_reduced(n, p, k, check_unique=True).unique is True
+        d["note"] = f"two laws at {optimum} over all pairwise laws, one exchangeable optimizer"

@@ -145,6 +145,21 @@ class TestInputBounds:
     @pytest.mark.parametrize(
         "argv",
         [
+            ("constant", "--n", "400", "--p", "4", "--k", "60"),
+            ("constant", "--full", "--n", "11", "--p", "4", "--k", "4"),
+        ],
+    )
+    def test_program_above_work_bound_fails_fast(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert out == ""
+        assert "program too large" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ("construct", "--construct", "partition", "--n", "4"),
             ("verify", "--construct", "partition", "--n", "4", "--k", "2"),
             ("sample", "--kind", "partition", "--n", "4"),

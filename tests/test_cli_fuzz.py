@@ -53,7 +53,8 @@ argvs = st.one_of(
             flag("--p", order), opt("--a", weights), precise),
     command("bound", flag("--kind", st.sampled_from(["haagerup", "interpolation", "sharp"])),
             opt("--n", small_int), opt("--p", order), opt("--k", small_int), precise),
-    # the unreduced program is kept to n <= 8: its size doubles with n
+    # the unreduced program is kept to n <= 8: its work bound admits cells
+    # up to n = 12, but already at n = 9 a cell takes about 5 s
     command("constant", flag("--n", small_int), flag("--p", order), flag("--k", small_int),
             st.sampled_from([[], ["--full"]]),
             opt("--a", weights), precise).filter(

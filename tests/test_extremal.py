@@ -352,6 +352,22 @@ class TestHistory:
             assert solve_full(n, p, k, a).to_json() == fresh, seed
 
 
+class TestWorkBounds:
+    """Both programs are bounded by their size before any row is built."""
+
+    @pytest.mark.parametrize("n,k,full", [(10000, 6, False), (2000, 10, False), (64, 4, False),
+                                          (10, 4, True), (12, 3, True), (9, 9, True)])
+    def test_cells_in_use_are_admitted(self, n, k, full):
+        assert extremal._validate(n, 8, k, full) == 8
+
+    @pytest.mark.parametrize("n,k,full", [(10000, 7, False), (20, 11, False), (1000, 30, False),
+                                          (200, 100, False), (11, 4, True), (12, 4, True),
+                                          (10, 6, True)])
+    def test_larger_programs_are_rejected(self, n, k, full):
+        with pytest.raises(ValueError, match="program too large"):
+            extremal._validate(n, 4, k, full)
+
+
 class TestFullProgram:
     def test_constraint_labels(self):
         labels = full_constraint_labels(4, 2)
