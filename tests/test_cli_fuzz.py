@@ -41,23 +41,21 @@ def command(name, *parts):
 fmt = opt("--format", st.sampled_from(["json", "csv", "table"]))
 # only moment, bound, constant and table take --precision-bits; the others
 # would reject it as a usage error before reaching their success paths
-precise = st.tuples(
-    fmt, opt("--precision-bits", st.sampled_from(["1", "2", "16", "128", "0"]))
-).map(lambda ps: ps[0] + ps[1])
+bits = opt("--precision-bits", st.sampled_from(["1", "2", "16", "128", "0"]))
 
 argvs = st.one_of(
     command("construct", flag("--construct", constructions), flag("--n", small_int), fmt),
     command("verify", flag("--construct", constructions), flag("--n", small_int),
             flag("--k", small_int), fmt),
     command("moment", flag("--construct", constructions), flag("--n", small_int),
-            flag("--p", order), opt("--a", weights), precise),
+            flag("--p", order), opt("--a", weights), fmt, bits),
     command("bound", flag("--kind", st.sampled_from(["haagerup", "interpolation", "sharp"])),
-            opt("--n", small_int), opt("--p", order), opt("--k", small_int), precise),
+            opt("--n", small_int), opt("--p", order), opt("--k", small_int), fmt, bits),
     # the unreduced program is kept to n <= 8: its work bound admits cells
     # up to n = 12, but already at n = 9 a cell takes about 5 s
     command("constant", flag("--n", small_int), flag("--p", order), flag("--k", small_int),
             st.sampled_from([[], ["--full"]]),
-            opt("--a", weights), precise).filter(
+            opt("--a", weights), fmt, bits).filter(
                 lambda a: "--full" not in a or int(a[a.index("--n") + 1]) <= 8),
     command("sample", flag("--kind", kinds), flag("--n", small_int),
             opt("--seed", st.integers(-3, 2**64).map(str)),
@@ -67,7 +65,7 @@ argvs = st.one_of(
             opt("--samples", st.integers(-1, 500).map(str)), fmt),
     command("table", opt("--n", st.lists(small_int, min_size=1, max_size=3).map(",".join)),
             opt("--p", st.lists(order, min_size=1, max_size=2).map(",".join)),
-            opt("--k", st.lists(small_int, min_size=1, max_size=3).map(",".join)), precise),
+            opt("--k", st.lists(small_int, min_size=1, max_size=3).map(",".join)), fmt, bits),
 )
 
 
