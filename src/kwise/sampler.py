@@ -2,13 +2,24 @@
 
 The pseudorandom source is SplitMix64 (Steele, Lea, Flood 2014), chosen for
 cross-platform reproducibility: identical (kind, n, seed) always yields the
-identical sample sequence.  Words are made _BLOCK at a time: the block's
-states seed + i*gamma are packed into 128-bit lanes of one Python int, and
-the finalizer's two xorshift-multiply rounds and last xorshift run on all
-lanes at once.  Each shift is masked back to the low 64 bits of every lane,
-and a 64-bit lane times a 64-bit constant fits in its 128 bits, so no carry
-crosses a lane and every lane follows the one-word recurrence exactly.
-Bounded draws use threshold rejection, so every range is exactly uniform.
+identical sample sequence.  Words are made _BLOCK at a time by _blocks: the
+block's states are packed into 128-bit lanes of one Python int, and the
+finalizer's two xorshift-multiply rounds and last xorshift run on all lanes
+at once.  Each shift is masked back to the low 64 bits of every lane, and a
+64-bit lane times a 64-bit constant fits in its 128 bits, so no carry
+crosses a lane and every lane follows the one-word recurrence exactly.  The
+next block's states are this block's plus _BLOCK*gamma in every lane: one
+lane-wise addition, whose carry out of bit 63 the mask drops.  A stream's
+words are the blocks chained into one iterator, which every draw and
+next_u64 read in turn.  Bounded draws use threshold rejection, so every
+range is exactly uniform.
+
+An unweighted partition estimate needs only each draw's Hamming weight, so
+_partition_weights reads it from the class word alone and skips a balanced
+draw's shuffle words unread.  That is exact while every buffered word is
+below each threshold the draw could test, which it checks once per block;
+from the first block where that fails it hands the words to the exact
+_partition draw, a case of probability below 2n*_BLOCK/2^64 per block.
 Estimates accumulate in IEEE doubles; at the bounded magnitudes involved the
 rounding error is far below the Monte Carlo noise.
 """
@@ -17,6 +28,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import sqrt
 from typing import Callable, Iterator, Optional
 
@@ -37,6 +49,7 @@ _STEPS = int.from_bytes(
     b"".join((i * _GAMMA & _MASK64).to_bytes(16, "little") for i in range(1, _BLOCK + 1)),
     "little",
 )
+_STRIDE = int.from_bytes((_BLOCK * _GAMMA & _MASK64).to_bytes(16, "little") * _BLOCK, "little")
 _UNPACK = struct.Struct("<" + "Q8x" * _BLOCK).unpack
 
 
@@ -46,31 +59,38 @@ def _limit(bound: int) -> int:
     return ((1 << 64) // bound) * bound
 
 
-def _words(state: int) -> Iterator[int]:
+def _blocks(seed: int) -> Iterator[tuple[int, ...]]:
+    """The finalized words after the state seed mod 2^64, as tuples of
+    _BLOCK."""
+    lanes = ((seed & _MASK64) * _ONES + _STEPS) & _LOW
     while True:
-        z = (state * _ONES + _STEPS) & _LOW
-        state = (state + _BLOCK * _GAMMA) & _MASK64
+        z = lanes
+        lanes = (lanes + _STRIDE) & _LOW
         z = ((z ^ ((z >> 30) & _LOW)) * 0xBF58476D1CE4E5B9) & _LOW
         z = ((z ^ ((z >> 27) & _LOW)) * 0x94D049BB133111EB) & _LOW
         z ^= (z >> 31) & _LOW
-        yield from _UNPACK(z.to_bytes(16 * _BLOCK, "little"))
+        yield _UNPACK(z.to_bytes(16 * _BLOCK, "little"))
 
 
 class SplitMix64:
     """64-bit SplitMix generator: state advances by the golden-gamma constant
     0x9E3779B97F4A7C15 and each output is the murmur-style finalizer of the
-    new state.  next_u64() returns the next word."""
+    new state.  words is the endless iterator of outputs, and next_u64()
+    returns its next word."""
 
-    __slots__ = ("next_u64",)
+    __slots__ = ("words", "next_u64")
 
     def __init__(self, seed: int):
-        self.next_u64 = _words(seed & _MASK64).__next__
+        self.words = chain.from_iterable(_blocks(seed))
+        self.next_u64 = self.words.__next__
 
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound) by rejection below the largest
-        multiple of bound that fits in 64 bits."""
+        multiple of bound that fits in 64 bits; bound is at most 2^64."""
         if bound <= 0:
             raise ValueError(f"bound must be positive, got {bound}")
+        if bound > 1 << 64:
+            raise ValueError(f"bound must be at most 2^64, got {bound}")
         limit = _limit(bound)
         while True:
             u = self.next_u64()
@@ -136,7 +156,7 @@ class Stream:
     def __init__(self, spec: StreamSpec):
         self.spec = spec
         self._rng = SplitMix64(spec.seed)
-        self.draw_bits = _DRAWS[spec.kind](spec.n, self._rng.next_u64)
+        self.draw_bits = _DRAWS[spec.kind](spec.n, self._rng.words)
 
     def draw(self) -> SignVector:
         return SignVector(self.spec.dimension, self.draw_bits())
@@ -154,15 +174,16 @@ class Stream:
             yield self.draw()
 
 
-def _independent(n: int, word: Callable[[], int]) -> Callable[[], int]:
+def _independent(n: int, words: Iterator[int]) -> Callable[[], int]:
     low = (1 << n) - 1
-    return lambda: word() & low
+    return map(low.__and__, words).__next__
 
 
-def _partition(n: int, word: Callable[[], int]) -> Callable[[], int]:
+def _partition(n: int, words: Iterator[int]) -> Callable[[], int]:
     """Unanimous with probability 1/n, else a uniform balanced vector: a
     partial shuffle of the coordinates' bits, whose first n/2 slots become
     the +1 coordinates."""
+    word = words.__next__
     bound = 2 * n
     limit = _limit(bound)
     full = (1 << n) - 1
@@ -191,7 +212,43 @@ def _partition(n: int, word: Callable[[], int]) -> Callable[[], int]:
     return draw
 
 
-def _xor(n: int, word: Callable[[], int]) -> Callable[[], int]:
+def _partition_weights(n: int, blocks: Iterator[tuple[int, ...]]) -> Iterator[int]:
+    """Hamming weights of the _partition draws made from the chained blocks.
+
+    The class word u = w mod 2n gives weight n at u = 0, 0 at u = 1 and n/2
+    otherwise.  A word below safe passes every rejection test of a draw, so
+    while a block holds no word at or above safe, a draw takes one word, or
+    1 + n/2 when balanced, and the shuffle words need not be read.  From the
+    first block that holds such a word, the remaining words go to
+    _partition."""
+    bound = 2 * n
+    half = n // 2
+    skip = half + 1
+    safe = min([_limit(bound)] + [_limit(n - i) for i in range(half)])
+    buf = []
+    for block in blocks:
+        buf += block
+        if max(buf) >= safe:
+            break
+        # a balanced draw starting before end has its shuffle words in buf
+        end = len(buf) - half
+        i = 0
+        while i < end:
+            u = buf[i] % bound
+            if u > 1:
+                yield half
+                i += skip
+            else:
+                yield n if u == 0 else 0
+                i += 1
+        del buf[:i]
+    draw = _partition(n, chain(buf, chain.from_iterable(blocks)))
+    while True:
+        yield draw().bit_count()
+
+
+def _xor(n: int, words: Iterator[int]) -> Callable[[], int]:
+    word = words.__next__
     dim = 1 << n
     if dim > MAX_DIMENSION:
         def draw():
@@ -237,7 +294,9 @@ def estimate_moment(
     """Monte Carlo mean of |<a, x>|^p over the stream, with standard error.
 
     Accumulation is Welford's one-pass algorithm in doubles.  a = None means
-    all-ones weights."""
+    all-ones weights, where a draw counts only through its Hamming weight:
+    the partition kind then reads the weights from _partition_weights,
+    which skips the shuffle words, and the result is the same double."""
     if samples < 100:
         raise ValueError(f"need at least 100 samples, got {samples}")
     pf = Fraction(p)
@@ -252,7 +311,11 @@ def estimate_moment(
     pe = float(pf)
     if a is None:
         table = [float(abs(2 * m - dim)) ** pe for m in range(dim + 1)]
-        values = map(table.__getitem__, map(int.bit_count, draws))
+        if spec.kind == "partition":
+            weights = _partition_weights(spec.n, _blocks(spec.seed))
+        else:
+            weights = map(int.bit_count, draws)
+        values = map(table.__getitem__, weights)
     else:
         coeffs = [float(v) for v in a.a]
 

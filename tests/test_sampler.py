@@ -1,6 +1,7 @@
 """Streaming draws and Monte Carlo moment estimates."""
 import hashlib
 from fractions import Fraction
+from itertools import chain, islice
 
 import pytest
 
@@ -11,6 +12,10 @@ from kwise.sampler import (
     SplitMix64,
     Stream,
     StreamSpec,
+    _blocks,
+    _limit,
+    _partition,
+    _partition_weights,
     estimate_moment,
     sample,
 )
@@ -43,6 +48,14 @@ class TestSplitMix64:
     def test_below_validates(self):
         with pytest.raises(ValueError, match="positive"):
             SplitMix64(0).below(0)
+
+    def test_below_refuses_bounds_above_2_64(self):
+        # no 64-bit word is below the rejection limit of such a bound, so
+        # below would draw forever; it raises before reading any word
+        g = SplitMix64(1)
+        with pytest.raises(ValueError, match="2\\^64"):
+            g.below((1 << 64) + 1)
+        assert g.below(1 << 64) == SplitMix64(1).next_u64()  # the raw word
 
 
 class TestStreamSpec:
@@ -134,7 +147,69 @@ class TestPartitionStream:
         assert abs(pair) < bound
 
 
+def _weights_from_partition(n, words, count):
+    draw = _partition(n, words)
+    return [draw().bit_count() for _ in range(count)]
+
+
+class TestPartitionWeights:
+    @pytest.mark.parametrize("n", [2, 4, 8, 62])
+    @pytest.mark.parametrize("seed", [0, 1, 12345, (1 << 64) - 1])
+    def test_matches_stream_draws(self, n, seed):
+        count = 3 * 256  # every draw reads a word, so this crosses three blocks
+        s = Stream(StreamSpec("partition", n, seed))
+        expected = [s.draw_bits().bit_count() for _ in range(count)]
+        assert list(islice(_partition_weights(n, _blocks(seed)), count)) == expected
+
+    @pytest.mark.parametrize("n", [4, 6, 10, 62])
+    def test_words_near_the_rejection_limits(self, n):
+        # for each limit a draw tests, words at, just below and just above
+        # it, each repeated n + 2 times inside the second block, so that
+        # some draw tests every word against every limit: each limit below
+        # 2^64 forces the hand-over to _partition; words just below the
+        # least limit do not, and the skip passes over them
+        limits = sorted({_limit(2 * n)} | {_limit(n - i) for i in range(n // 2)})
+        cases = [[t + d for d in (-1, 0, 1) if t + d < 1 << 64] for t in limits]
+        cases.append([limits[0] - 2, limits[0] - 1])
+        clean = list(islice(_blocks(n), 3))
+        count = 3 * 256
+        for near in cases:
+            run = [w for w in near for _ in range(n + 2)]
+            crafted = list(clean[1])
+            crafted[40:40 + len(run)] = run
+            blocks = [clean[0], tuple(crafted), clean[2]]
+            expected = _weights_from_partition(
+                n, chain.from_iterable(chain(blocks, _blocks(7))), count)
+            assert list(islice(_partition_weights(n, chain(blocks, _blocks(7))), count)) \
+                == expected, near
+
+    @pytest.mark.parametrize("n", [4, 62])
+    def test_limit_word_in_the_first_block(self, n):
+        # the hand-over can come before any draw has been parsed
+        word = _limit(2 * n) if n == 62 else _limit(n - 1)
+        first = (word,) + next(_blocks(3))[1:]
+        count = 400
+        expected = _weights_from_partition(n, chain(first, chain.from_iterable(_blocks(5))), count)
+        assert list(islice(_partition_weights(n, chain([first], _blocks(5))), count)) == expected
+
+
 class TestXorStream:
+    def test_lazy_and_eager_draws_share_one_word_stream(self):
+        # interleaved lazy and eager draws of one stream read its words in
+        # turn; this sequence was recorded before the words were read from
+        # a block iterator
+        s = Stream(StreamSpec("xor", 3, 2024))
+        out = []
+        for i in range(40):
+            if i % 3 == 1:
+                d = s.draw_lazy()
+                out.append(("lazy", d.seed_sign, d.seed_mask))
+            else:
+                out.append(("bits", s.draw_bits()))
+        assert out[:6] == [("bits", 51), ("lazy", 1, 1), ("bits", 102), ("bits", 51),
+                           ("lazy", -1, 1), ("bits", 153)]
+        assert _digest(out) == "a373cb1726439f4b"
+
     def test_lazy_matches_eager(self):
         spec = StreamSpec("xor", 3, seed=13)
         eager = Stream(spec)
