@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .bounds import haagerup_constant, interpolation_bound, sharp_pairwise_value
 from .constructions import independent_space, partition_space, xor_space
-from .core import DIGITS, MAX_ENUMERATION, _frac_str, _value_json
+from .core import DIGITS, MAX_ENUMERATION, _frac_str, _value_json, sign_string
 from .extremal import solve_full, solve_reduced
 from .independence import check_kwise
 from .intervals import DEFAULT_PREC
@@ -29,11 +29,13 @@ from .sampler import Stream, StreamSpec, estimate_moment
 # and set from measured time (2-core host, Python 3.11): at |p| = 4095 an
 # n = 10000 reduced program takes about 10 s and 280 MB; at 1024 bits a
 # Stirling-series haagerup bound takes about 2 s (17 s at 2048); a million
-# xor draws take about 9 s.  The --n of an explicit law (construct, verify,
-# moment) is capped at MAX_ENUMERATION, set from memory.
+# xor draws take about 9 s; a 4096-cell table (even n up to 128, k up to 8)
+# took 15 s.  The --n of an explicit law (construct, verify, moment) is
+# capped at MAX_ENUMERATION, set from memory.
 MAX_P_TERM = 4096  # numerator and denominator of --p
 MAX_PRECISION_BITS = 1024
 MAX_SAMPLES = 1_000_000
+MAX_TABLE_CELLS = 4096  # |--n| * |--p| * |--k|, checked once all three are parsed
 
 CONSTRUCTIONS = {
     "partition": partition_space,
@@ -121,9 +123,8 @@ def _emit(data, fmt: str) -> None:
     if fmt == "csv":
         print(",".join(header))
         for row in rows:
-            print(",".join('"%s"' % _cell(row.get(h)).replace('"', '""')
-                           if any(ch in _cell(row.get(h)) for ch in ',"')
-                           else _cell(row.get(h)) for h in header))
+            cells = [_cell(row.get(h)) for h in header]
+            print(",".join(['"%s"' % v.replace('"', '""') if "," in v or '"' in v else v for v in cells]))
         return
     if longest is None:
         longest = {h: max(len(_cell(row.get(h))) for row in rows) for h in header}
@@ -205,7 +206,8 @@ def _cmd_sample(args):
     in the sample count."""
     stream = Stream(StreamSpec(args.kind, args.n, args.seed))
     first = str(stream.draw())  # a dimension too wide to draw fails here, before any output
-    rows = ({"draw": i, "signs": str(stream.draw()) if i else first} for i in range(args.samples))
+    n, draw = len(first), stream.draw_bits
+    rows = ({"draw": i, "signs": sign_string(n, draw()) if i else first} for i in range(args.samples))
     return {"draw": len(str(args.samples - 1)), "signs": len(first)}, rows
 
 
@@ -319,6 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int_list, default=[2, 4, 6, 8])
     p.add_argument("--p", type=_fraction_list, default=[Fraction(2), Fraction(4)])
     p.add_argument("--k", type=_int_list, default=[2])
+    p.set_defaults(grid_error=p.error)  # for MAX_TABLE_CELLS, checked in run
     fmt(p)
 
     for name in ("moment", "bound", "constant", "table"):  # the subcommands that read it
@@ -342,6 +345,8 @@ def run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "table" and len(args.n) * len(args.p) * len(args.k) > MAX_TABLE_CELLS:
+            args.grid_error(f"the --n, --p and --k lists make more than {MAX_TABLE_CELLS} cells")
     except SystemExit as exc:  # argparse handles usage/help printing
         return int(exc.code or 0)
     try:

@@ -26,8 +26,26 @@ MAX_ENUMERATION = 20
 # decimal places of every printed interval endpoint
 DIGITS = 40
 
-# binary digits to sign characters, for SignVector.__str__
+# binary digits to sign characters, for sign_string
 _SIGN_CHARS = str.maketrans("01", "-+")
+
+
+def sign_string(n: int, bits: int) -> str:
+    """The n sign characters of bits, coordinate 0 (the lowest bit) first."""
+    return format(bits, f"0{n}b")[::-1].translate(_SIGN_CHARS)
+
+
+def walsh_hadamard(f: Sequence[int]) -> list[int]:
+    """g[x] = sum over t of f[t] * (-1)^|t & x|, for 2^n integers f, in
+    n * 2^n additions: each round adds and subtracts the pairs that differ in
+    bit 0 and moves that bit to the top, so n rounds put every bit back."""
+    g = list(f)
+    if not g or len(g) & (len(g) - 1):
+        raise ValueError(f"length must be a power of two, got {len(g)}")
+    for _ in range(len(g).bit_length() - 1):
+        even, odd = g[0::2], g[1::2]
+        g = [u + v for u, v in zip(even, odd)] + [u - v for u, v in zip(even, odd)]
+    return g
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,8 +75,7 @@ class SignVector:
         return tuple(1 if (self.bits >> i) & 1 else -1 for i in range(self.n))
 
     def __str__(self) -> str:
-        # coordinate 0 is the lowest bit, so the binary digits are reversed
-        return format(self.bits, f"0{self.n}b")[::-1].translate(_SIGN_CHARS)
+        return sign_string(self.n, self.bits)
 
     @classmethod
     def from_signs(cls, signs: Sequence[int]) -> "SignVector":

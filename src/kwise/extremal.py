@@ -2,22 +2,22 @@
 
 Two routes to the same optimum: `solve_full` works on all 2^n sign patterns
 with one parity constraint per coordinate subset of size at most k (solved
-on the flip-symmetric pairs {x, ~x}, certified on the unreduced rows), while
-`solve_reduced` exploits permutation symmetry and optimizes over Hamming
-weight profiles with k constraint rows.  Both return exact rational values
-for integer exponents, certified enclosures otherwise, and every solution is
-re-checked by the independent certificate verifier in `simplex`.
+on the flip-symmetric pairs {x, ~x}, certified on every atom by Walsh-Hadamard
+transforms), while `solve_reduced` exploits permutation symmetry and optimizes
+over Hamming weight profiles with k constraint rows (certified by `simplex`).
+Both return exact rational values for integer exponents and certified
+enclosures otherwise.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from math import comb
+from itertools import chain, combinations
+from math import comb, lcm
 from typing import Optional, Union
 
-from .core import SampleSpace, SignVector, WeightProfile, _frac_str, _value_json
+from .core import SampleSpace, SignVector, WeightProfile, _frac_str, _value_json, walsh_hadamard
 from .independence import check_kwise
 from .intervals import DEFAULT_PREC, Interval, rational_power
 from .moments import Weights
@@ -149,10 +149,10 @@ class LpSolution:
     exponent is not an integer: one solve at the midpoint coefficients, whose
     optimizer and dual carry no exactness claim, enclosed by weak duality
     (see `_solve`) at `prec` bits.  Every solution is certified: `dual`
-    proves the optimizer optimal via `simplex.verify_certificate`, and
-    `certificate_ok` records the outcome of that check.  On the unreduced
-    route the dual is aligned with `full_constraint_labels` and is 0 on every
-    odd-size label, since the solve runs on the flip-symmetric program.
+    proves the optimizer optimal via `verify_certificate` (reduced route) or
+    `_certify_full` (unreduced), and `certificate_ok` records the outcome.  On
+    the unreduced route the dual is aligned with `full_constraint_labels` and
+    is 0 on every odd-size label, as the solve runs on the flip program.
     Both routes are history-free: the same arguments give the same solution
     whatever the process solved before.
     """
@@ -242,42 +242,16 @@ def solve_reduced(
     return sol
 
 
-def _parity_row(subset: tuple[int, ...], columns) -> tuple[int, ...]:
-    """+1 on the atoms where the subset holds an even number of minus signs
-    (clear bits), -1 elsewhere."""
-    mask = 0
-    for i in subset:
-        mask |= 1 << i
-    size = len(subset)
-    return tuple(
-        -1 if (mask & x).bit_count() & 1 != size & 1 else 1 for x in columns
-    )
-
-
-@lru_cache(maxsize=128)
-def _full_rows(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """Constraint rows of the unreduced program: normalization, then the
-    parity row of every coordinate subset of size 1..k, in size-then-lex
-    order.  Returns (rows, rhs, subset labels)."""
-    cols = range(1 << n)
-    labels = [()]
-    for size in range(1, k + 1):
-        labels += combinations(range(n), size)
-    rows = tuple(_parity_row(t, cols) for t in labels)
-    rhs = (1,) + (0,) * (len(rows) - 1)
-    return rows, rhs, tuple(labels)
-
-
 def full_constraint_labels(n: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """Subset labels aligned with the dual vector of a full solution; the
-    first entry () is the normalization row."""
-    return _full_rows(n, k)[2]
+    """Subset labels aligned with the dual vector of a full solution: (), the
+    normalization row, then every subset of size 1..k, size-then-lex."""
+    return ((),) + tuple(chain.from_iterable(combinations(range(n), size) for size in range(1, k + 1)))
 
 
 def _flip_program(n: int, k: int) -> tuple[list[list[int]], list[int], list[int]]:
     """(rows, rhs, start) of the flip-symmetric program for even k: one
     column per pair {x, ~x}, indexed by x - 2^(n-1) for the member x with
-    the top bit set, and only the even-size rows of `_full_rows`.
+    the top bit set, and one row per even-size label T: -1 where |T & x| is odd.
 
     Phase 1 starts from the uniform law on the even-weight code (the sign
     vectors with an even number of minus signs) when n is even,
@@ -290,8 +264,8 @@ def _flip_program(n: int, k: int) -> tuple[list[list[int]], list[int], list[int]
     min(t, n - t) <= k, which for even k is n <= 2k + 2.  Other cells
     start phase 1 from the all-artificial basis."""
     half = 1 << (n - 1)
-    full, _, labels = _full_rows(n, k)
-    rows = [row[half:] for row, t in zip(full, labels) if len(t) % 2 == 0]
+    masks = [sum(1 << i for i in t) for t in full_constraint_labels(n, k) if len(t) % 2 == 0]
+    rows = [[-1 if (m & x).bit_count() & 1 else 1 for x in range(half, 1 << n)] for m in masks]
     start = []
     if n % 2 == 0 and k <= n - 2 and n <= 2 * k + 2:
         start = [x - half for x in range(half, 1 << n) if x.bit_count() % 2 == 0]
@@ -311,14 +285,37 @@ def _flip_solver(n: int, k: int) -> ExactSimplex:
 def _signed_sums(a: Weights) -> tuple[list[int], int]:
     """<a, x> for every sign vector x, as integer numerators over the
     weights' common denominator: returns (s, den) with <a, x> = s[x] / den.
-    One pass over 2^n: adding x's lowest set bit turns that coordinate's
-    sign from -1 to +1."""
+    The transform of -a on the singleton masks, as (-1)^|{i} & x| = -x_i."""
     den, w = a.integer_form()
-    s = [-sum(w)] * (1 << a.n)
-    for x in range(1, 1 << a.n):
-        low = x & -x
-        s[x] = s[x ^ low] + 2 * w[low.bit_length() - 1]
-    return s, den
+    f = [0] * (1 << a.n)
+    for i, v in enumerate(w):
+        f[1 << i] = -v
+    return walsh_hadamard(f), den
+
+
+def _certify_full(n: int, labels, c, law, dual) -> bool:
+    """Exact certificate that `law` maximizes c.law on the 2^n atoms subject
+    to E chi_T = 0 at every label after (), with `dual` aligned with labels.
+    It reads no constraint row.  The masses' numerators over den transform to
+    den * (-1)^|T| * E chi_T: den at (), 0 at every other label.  The signed
+    dual (-1)^|T| * y_T at the masks transforms to A^T y at every atom: at
+    least c, equal to c on the support, and c.law = b.y = y_()."""
+    if len(c) != 1 << n or len(law) != 1 << n or len(dual) != len(labels) or min(law) < 0:
+        return False
+    support = [x for x, v in enumerate(law) if v]
+    masks = [sum(1 << i for i in t) for t in labels]
+    den = lcm(*(law[x].denominator for x in support))
+    moments = walsh_hadamard([v.numerator * (den // v.denominator) for v in law])
+    if moments[0] != den or any(moments[m] for m in masks[1:]):
+        return False
+    den = lcm(*(v.denominator for v in dual), *{v.denominator for v in c})
+    f = [0] * (1 << n)
+    for t, m, y in zip(labels, masks, dual):
+        f[m] = (-1) ** len(t) * y.numerator * (den // y.denominator)
+    slack = [u - v.numerator * (den // v.denominator) for u, v in zip(walsh_hadamard(f), c)]
+    if min(slack) < 0 or any(slack[x] for x in support):
+        return False
+    return sum((c[x] * law[x] for x in support), Fraction(0)) == dual[0]
 
 
 def solve_full(
@@ -341,9 +338,9 @@ def solve_full(
     solve therefore runs on the flip-symmetric program (one column per pair
     {x, ~x}, even-size rows only; k = 2j + 1 shares the k = 2j solver) and
     splits each pair's mass evenly between x and ~x.  The dual gets zeros on
-    the odd-size rows, and the certificate is checked against the unreduced
-    rows.  The two programs share their optimum, so the weak-duality end of
-    a fractional-p enclosure is taken on the flip-symmetric one."""
+    the odd-size rows, and `_certify_full` checks every unreduced row.  The
+    two programs share their optimum, so the weak-duality end of a
+    fractional-p enclosure is taken on the flip-symmetric one."""
     pf = _validate(n, p, k, full=True)
     if a is None:
         a = Weights.all_ones(n)
@@ -359,11 +356,8 @@ def solve_full(
     law = [res.x[j] / 2 for j in pair]
     # the dual on the unreduced rows: zero on every odd-size label
     even = iter(res.y)
-    dual = tuple(
-        next(even) if len(t) % 2 == 0 else Fraction(0) for t in full_constraint_labels(n, k)
-    )
-    rows, rhs, _ = _full_rows(n, k)
-    cert_ok = verify_certificate(rows, rhs, [c[j] for j in pair], law, dual)
+    labels = full_constraint_labels(n, k)
+    dual = tuple(next(even) if len(t) % 2 == 0 else Fraction(0) for t in labels)
     masses = {x: v for x, v in enumerate(law) if v}
     return LpSolution(
         kind="full",
@@ -373,7 +367,7 @@ def solve_full(
         optimal_value=value,
         optimizer=SampleSpace(n, masses),
         dual=dual,
-        certificate_ok=cert_ok,
+        certificate_ok=_certify_full(n, labels, [c[j] for j in pair], law, dual),
         note=ODD_DIMENSION_NOTE if n % 2 else None,
         prec=prec,
     )

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import kwise
-from kwise.cli import MAX_P_TERM, MAX_PRECISION_BITS, MAX_SAMPLES, _emit, run
+from kwise.cli import MAX_P_TERM, MAX_PRECISION_BITS, MAX_SAMPLES, MAX_TABLE_CELLS, _emit, run
 from kwise.sampler import Stream, StreamSpec, estimate_moment
 
 
@@ -461,6 +461,28 @@ class TestTable:
                 assert hi <= float(r["sharp"]) + 1e-12
             if r["interpolation"] is not None:
                 assert r["k"] % 2 == 0 and Fraction(r["p"]) >= r["k"]
+
+    def test_grid_over_the_cap_is_usage_error(self, capsys, monkeypatch):
+        import kwise.cli as cli
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a refused grid must not be solved")
+
+        monkeypatch.setattr(cli, "solve_reduced", no_solve)
+        ns = ",".join(["4"] * (MAX_TABLE_CELLS + 1))  # one cell over, at the default --k 2
+        t0 = time.perf_counter()
+        code, out, err = invoke(capsys, "table", "--n", ns, "--p", "4")
+        assert time.perf_counter() - t0 < 1
+        assert code == 2
+        assert out == ""
+        assert "usage:" in err and str(MAX_TABLE_CELLS) in err
+
+    def test_grid_at_the_cap_is_admitted(self, capsys):
+        # every cell has k > n, so the admitted grid solves nothing
+        ns = ",".join(["1"] * MAX_TABLE_CELLS)
+        code, out, _ = invoke(capsys, "table", "--n", ns, "--p", "4")
+        assert code == 0
+        assert json.loads(out) == []
 
     def test_haagerup_once_per_exponent(self, capsys, monkeypatch):
         import kwise.cli as cli

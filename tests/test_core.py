@@ -16,6 +16,7 @@ from kwise.core import (
     project_marginal,
     symmetrize,
     uniform_cube,
+    walsh_hadamard,
 )
 
 
@@ -155,3 +156,19 @@ def test_project_marginal_collapses_correlated_pair():
     assert pair.probability(SignVector(2, 0b00)) == Fraction(1, 2)
     assert pair.probability(SignVector(2, 0b11)) == Fraction(1, 2)
     assert pair.probability(SignVector(2, 0b01)) == 0
+
+
+@given(st.integers(0, 6).flatmap(
+    lambda n: st.lists(st.integers(-2**70, 2**70), min_size=1 << n, max_size=1 << n)))
+def test_walsh_hadamard_matches_its_definition(f):
+    # g[x] = sum_t f[t] (-1)^|t & x|, and H H = 2^n I
+    g = walsh_hadamard(f)
+    assert g == [sum(v if (t & x).bit_count() % 2 == 0 else -v for t, v in enumerate(f))
+                 for x in range(len(f))]
+    assert walsh_hadamard(g) == [len(f) * v for v in f]
+
+
+def test_walsh_hadamard_needs_a_power_of_two():
+    for size in (0, 3, 6, 12):
+        with pytest.raises(ValueError, match="power of two"):
+            walsh_hadamard([1] * size)

@@ -35,6 +35,15 @@ def dot_bits(a: Weights, bits: int) -> Fraction:
     return sum((w if bits >> i & 1 else -w for i, w in enumerate(a.a)), Fraction(0))
 
 
+def character(subset, bits: int) -> int:
+    """The product of the coordinates in subset at the sign vector x whose
+    bit i is set iff x_i = +1."""
+    prod = 1
+    for i in subset:
+        prod *= 1 if bits >> i & 1 else -1
+    return prod
+
+
 def brute_class_average(n: int, j: int, m: int) -> Fraction:
     """Average of the product over the first j coordinates, taken over all
     sign vectors with exactly m entries equal to +1."""
@@ -531,22 +540,72 @@ class TestFlipSymmetry:
         # program; only the unreduced odd-size rows can catch it
         from kwise import extremal
 
-        real = extremal.verify_certificate
+        real = extremal._certify_full
         seen = []
 
-        def perturbed(rows, rhs, c, x, y):
-            seen.append((len(rows), len(x), len(y)))
+        def perturbed(n, labels, c, x, y):
+            seen.append((len(labels), len(x), len(y)))
             x = list(x)
             atom = next(b for b, q in enumerate(x) if q)
             x[atom] -= x[atom] / 2
             x[atom ^ 0b11111] += x[atom]
-            return real(rows, rhs, c, x, y)
+            return real(n, labels, c, x, y)
 
         assert solve_full(5, 4, 3).certificate_ok is True
-        monkeypatch.setattr(extremal, "verify_certificate", perturbed)
+        monkeypatch.setattr(extremal, "_certify_full", perturbed)
         assert solve_full(5, 4, 3).certificate_ok is False
         width = len(full_constraint_labels(5, 3))
         assert seen == [(width, 32, width)]
+
+
+class TestFullCertificate:
+    """`_certify_full` checks a law and a dual on every atom with two
+    Walsh-Hadamard transforms, apart from the rows the solver pivots on."""
+
+    @staticmethod
+    def lifted(sol):
+        """A reduced optimum spread over the atoms: q_m / C(n, m) on each atom
+        of weight m, objective |2m - n|^p there, and y_T = y_|T|."""
+        n = sol.n
+        weights = [x.bit_count() for x in range(1 << n)]
+        share = [q / comb(n, m) for m, q in enumerate(sol.optimizer.q)]
+        power = [abs(2 * m - n) ** int(sol.p) for m in range(n + 1)]
+        labels = full_constraint_labels(n, sol.k)
+        return (labels, [power[m] for m in weights], [share[m] for m in weights],
+                [sol.dual[len(t)] for t in labels])
+
+    @pytest.mark.parametrize("n,k,p", [(n, k, p) for n in (10, 12, 14) for k in (2, 4)
+                                       for p in (4, 6)] + [(16, 4, 4)])
+    def test_lifted_reduced_optimum_is_certified(self, n, k, p):
+        labels, c, law, dual = self.lifted(solve_reduced(n, p, k))
+        assert extremal._certify_full(n, labels, c, law, dual)
+        raised = list(dual)
+        raised[len(labels) // 2] += 1
+        assert not extremal._certify_full(n, labels, c, law, raised)
+
+    def test_reversed_flip_rows_fail_a_weighted_certificate(self, monkeypatch):
+        # reading the coordinates in reverse permutes the flip program's
+        # rows, so the solver still finds an optimum but returns its dual
+        # on the wrong labels; the transforms do not share the defect
+        real = extremal._flip_program
+
+        def reversed_program(n, k):
+            rows, rhs, start = real(n, k)
+            half, flip = 1 << (n - 1), (1 << n) - 1
+            perm = []
+            for j in range(half):
+                x = int(format(j + half, f"0{n}b")[::-1], 2)
+                perm.append((x if x >= half else x ^ flip) - half)
+            return [[row[j] for j in perm] for row in rows], rhs, start
+
+        a = Weights((1, 2, 3, Fraction(1, 2), Fraction(3, 2)))
+        assert solve_full(5, 4, 2, a=a).certificate_ok is True
+        extremal._flip_solver.cache_clear()
+        monkeypatch.setattr(extremal, "_flip_program", reversed_program)
+        try:
+            assert solve_full(5, 4, 2, a=a).certificate_ok is False
+        finally:
+            extremal._flip_solver.cache_clear()
 
 
 class TestIntervalEnclosure:
@@ -576,32 +635,36 @@ class TestIntervalEnclosure:
     def test_full_enclosure_contains_endpoint_optima(self):
         # the endpoint optima come from the unreduced program, all 2^n atoms
         for n, p, k, a in ((6, Fraction(5, 2), 2, None), (7, Fraction(7, 2), 3, self.A7)):
-            rows, rhs, _ = extremal._full_rows(n, k)
+            labels = full_constraint_labels(n, k)
+            rows = [[character(t, x) for x in range(1 << n)] for t in labels]
+            rhs = [1] + [0] * (len(rows) - 1)
             w = a or Weights.all_ones(n)
             obj = [rational_power(abs(dot_bits(w, x)), p) for x in range(1 << n)]
             lo, hi = self.endpoint_optima(rows, rhs, obj)
             self.assert_encloses(solve_full(n, p, k, a=a), lo, hi)
 
     def test_one_pass_and_one_check(self, monkeypatch):
-        calls = {"solves": 0, "checks": 0}
+        # the reduced route checks with verify_certificate, the full route
+        # with _certify_full, each once
+        calls = {}
         maximize = ExactSimplex.maximize
         verify = extremal.verify_certificate
+        certify_full = extremal._certify_full
 
-        def counted_maximize(self, *args, **kwargs):
-            calls["solves"] += 1
-            return maximize(self, *args, **kwargs)
+        def counted(name, real):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return call
 
-        def counted_verify(*args, **kwargs):
-            calls["checks"] += 1
-            return verify(*args, **kwargs)
-
-        monkeypatch.setattr(ExactSimplex, "maximize", counted_maximize)
-        monkeypatch.setattr(extremal, "verify_certificate", counted_verify)
-        for solve in (lambda: solve_reduced(10, Fraction(7, 2), 3),
-                      lambda: solve_full(5, Fraction(5, 2), 3)):
-            calls.update(solves=0, checks=0)
+        monkeypatch.setattr(ExactSimplex, "maximize", counted("solves", maximize))
+        monkeypatch.setattr(extremal, "verify_certificate", counted("verify", verify))
+        monkeypatch.setattr(extremal, "_certify_full", counted("certify_full", certify_full))
+        for solve, want in ((lambda: solve_reduced(10, Fraction(7, 2), 3), (1, 1, 0)),
+                            (lambda: solve_full(5, Fraction(5, 2), 3), (1, 0, 1))):
+            calls.update(solves=0, verify=0, certify_full=0)
             assert solve().certificate_ok is True
-            assert calls == {"solves": 1, "checks": 1}
+            assert (calls["solves"], calls["verify"], calls["certify_full"]) == want
 
 
 class TestEqualitySupport:
