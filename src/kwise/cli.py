@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .bounds import haagerup_constant, interpolation_bound, sharp_pairwise_value
 from .constructions import independent_space, partition_space, xor_space
@@ -30,12 +31,18 @@ from .sampler import Stream, StreamSpec, estimate_moment
 # n = 10000 reduced program takes about 10 s and 280 MB; at 1024 bits a
 # Stirling-series haagerup bound takes about 2 s (17 s at 2048); a million
 # xor draws take about 9 s; a 4096-cell table (even n up to 128, k up to 8)
-# took 15 s.  The --n of an explicit law (construct, verify, moment) is
-# capped at MAX_ENUMERATION, set from memory.
+# took 15-22 s.  A table is also capped by its programs' summed entries,
+# (k + 1)(n + 1) per solved cell as `extremal._validate` counts them: that
+# grid has 1.48 M, and the costliest entries measured, at n = 6817 and
+# k = 10, take about 90 us each at p = 4 and 320 us at p = 4095/2048, so a
+# grid at the budget takes minutes, not the hours 4096 such cells would.
+# The --n of an explicit law (construct, verify, moment) is capped at
+# MAX_ENUMERATION, set from memory.
 MAX_P_TERM = 4096  # numerator and denominator of --p
 MAX_PRECISION_BITS = 1024
 MAX_SAMPLES = 1_000_000
 MAX_TABLE_CELLS = 4096  # |--n| * |--p| * |--k|, checked once all three are parsed
+MAX_TABLE_ENTRIES = 1_500_000  # (k + 1)(n + 1) summed over the cells, checked next
 
 CONSTRUCTIONS = {
     "partition": partition_space,
@@ -205,10 +212,10 @@ def _cmd_sample(args):
     """Rows for _emit to print as they are drawn, so that memory stays flat
     in the sample count."""
     stream = Stream(StreamSpec(args.kind, args.n, args.seed))
-    first = str(stream.draw())  # a dimension too wide to draw fails here, before any output
-    n, draw = len(first), stream.draw_bits
+    n, draw = stream.spec.dimension, stream.draw_bits
+    first = sign_string(n, draw())  # a dimension too wide to draw fails here, before any output
     rows = ({"draw": i, "signs": sign_string(n, draw()) if i else first} for i in range(args.samples))
-    return {"draw": len(str(args.samples - 1)), "signs": len(first)}, rows
+    return {"draw": len(str(args.samples - 1)), "signs": n}, rows
 
 
 def _cmd_estimate(args) -> dict:
@@ -255,6 +262,7 @@ def _cmd_table(args) -> list[dict]:
 # -- parser ------------------------------------------------------------------
 
 
+@cache  # built once per process: parsing leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kwise",
@@ -321,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int_list, default=[2, 4, 6, 8])
     p.add_argument("--p", type=_fraction_list, default=[Fraction(2), Fraction(4)])
     p.add_argument("--k", type=_int_list, default=[2])
-    p.set_defaults(grid_error=p.error)  # for MAX_TABLE_CELLS, checked in run
+    p.set_defaults(grid_error=p.error)  # for MAX_TABLE_CELLS and MAX_TABLE_ENTRIES, checked in run
     fmt(p)
 
     for name in ("moment", "bound", "constant", "table"):  # the subcommands that read it
@@ -345,8 +353,13 @@ def run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "table" and len(args.n) * len(args.p) * len(args.k) > MAX_TABLE_CELLS:
-            args.grid_error(f"the --n, --p and --k lists make more than {MAX_TABLE_CELLS} cells")
+        if args.command == "table":
+            if len(args.n) * len(args.p) * len(args.k) > MAX_TABLE_CELLS:
+                args.grid_error(f"the --n, --p and --k lists make more than {MAX_TABLE_CELLS} cells")
+            entries = len(args.p) * sum((k + 1) * (n + 1) for n in args.n for k in args.k if 1 <= k <= n)
+            if entries > MAX_TABLE_ENTRIES:
+                args.grid_error(f"the --n, --p and --k lists make programs of more than "
+                                f"{MAX_TABLE_ENTRIES} entries in all")
     except SystemExit as exc:  # argparse handles usage/help printing
         return int(exc.code or 0)
     try:

@@ -35,6 +35,14 @@ def sign_string(n: int, bits: int) -> str:
     return format(bits, f"0{n}b")[::-1].translate(_SIGN_CHARS)
 
 
+def subset_mask(coords: Iterable[int]) -> int:
+    """The bit mask of a set of coordinates: bit i set for each i listed."""
+    mask = 0
+    for i in coords:
+        mask |= 1 << i
+    return mask
+
+
 def walsh_hadamard(f: Sequence[int]) -> list[int]:
     """g[x] = sum over t of f[t] * (-1)^|t & x|, for 2^n integers f, in
     n * 2^n additions: each round adds and subtracts the pairs that differ in
@@ -167,7 +175,7 @@ class SampleSpace:
 
     def to_json(self) -> dict:
         atoms = [
-            {"signs": str(SignVector(self.n, bits)), "prob": _frac_str(p)}
+            {"signs": sign_string(self.n, bits), "prob": _frac_str(p)}
             for bits, p in self.masses.items()
         ]
         return {"n": self.n, "atoms": atoms}
@@ -254,10 +262,7 @@ def expand(profile: WeightProfile) -> SampleSpace:
             continue
         share = qm / comb(n, m)
         for pos in combinations(range(n), m):
-            bits = 0
-            for i in pos:
-                bits |= 1 << i
-            atoms.append((bits, share))
+            atoms.append((subset_mask(pos), share))
     return SampleSpace(n, atoms)
 
 

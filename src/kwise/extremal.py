@@ -17,7 +17,8 @@ from itertools import chain, combinations
 from math import comb, lcm
 from typing import Optional, Union
 
-from .core import SampleSpace, SignVector, WeightProfile, _frac_str, _value_json, walsh_hadamard
+from .core import (SampleSpace, SignVector, WeightProfile, _frac_str, _value_json, subset_mask,
+                   walsh_hadamard)
 from .independence import check_kwise
 from .intervals import DEFAULT_PREC, Interval, rational_power
 from .moments import Weights
@@ -64,9 +65,10 @@ def parity_class_coefficient(n: int, j: int, m: int) -> Fraction:
     return Fraction(parity_class_sum(n, j, m), comb(n, j))
 
 
-# The three program caches are bounded.  Each holds at least twice the
-# programs that criterion 09 or one benchmark workload uses, so none of
-# those rebuilds a program; a long `table` sweep no longer keeps them all.
+# The two program caches, `_reduced_rows` and `_flip_solver`, are bounded.
+# Each holds at least twice the programs that criterion 09 or one benchmark
+# workload uses, so none of those rebuilds a program; a long `table` sweep
+# no longer keeps them all.
 @lru_cache(maxsize=128)
 def _reduced_rows(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     rows = [tuple([1] * (n + 1))]
@@ -264,7 +266,7 @@ def _flip_program(n: int, k: int) -> tuple[list[list[int]], list[int], list[int]
     min(t, n - t) <= k, which for even k is n <= 2k + 2.  Other cells
     start phase 1 from the all-artificial basis."""
     half = 1 << (n - 1)
-    masks = [sum(1 << i for i in t) for t in full_constraint_labels(n, k) if len(t) % 2 == 0]
+    masks = [subset_mask(t) for t in full_constraint_labels(n, k) if len(t) % 2 == 0]
     rows = [[-1 if (m & x).bit_count() & 1 else 1 for x in range(half, 1 << n)] for m in masks]
     start = []
     if n % 2 == 0 and k <= n - 2 and n <= 2 * k + 2:
@@ -303,7 +305,7 @@ def _certify_full(n: int, labels, c, law, dual) -> bool:
     if len(c) != 1 << n or len(law) != 1 << n or len(dual) != len(labels) or min(law) < 0:
         return False
     support = [x for x, v in enumerate(law) if v]
-    masks = [sum(1 << i for i in t) for t in labels]
+    masks = [subset_mask(t) for t in labels]
     den = lcm(*(law[x].denominator for x in support))
     moments = walsh_hadamard([v.numerator * (den // v.denominator) for v in law])
     if moments[0] != den or any(moments[m] for m in masks[1:]):
@@ -438,10 +440,7 @@ def equality_support_check(space: SampleSpace, a: Weights, p) -> EqualityReport:
         return EqualityReport(False, "not_pairwise_independent")
     if len({abs(v) for v in a.a}) != 1:
         return EqualityReport(False, "unequal_magnitudes")
-    smask = 0
-    for i, v in enumerate(a.a):
-        if v > 0:
-            smask |= 1 << i
+    smask = subset_mask(i for i, v in enumerate(a.a) if v > 0)
     full = (1 << n) - 1
     for bits in space.masses:
         agree = n - (bits ^ smask).bit_count()

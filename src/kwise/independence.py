@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional
 
-from .core import SampleSpace, _frac_str, integer_masses, project_marginal
+from .core import SampleSpace, _frac_str, integer_masses, project_marginal, subset_mask
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,13 +59,6 @@ def _parity_sum(den: int, atoms: list[tuple[int, int]], mask: int) -> int:
     return -total if mask.bit_count() & 1 else total
 
 
-def _mask(coords: Iterable[int]) -> int:
-    mask = 0
-    for i in coords:
-        mask |= 1 << i
-    return mask
-
-
 def fourier_coefficient(space: SampleSpace, coords: Iterable[int]) -> Fraction:
     """E[prod_{i in T} x_i] as an exact rational."""
     mask = 0
@@ -86,7 +79,7 @@ def check_kwise(space: SampleSpace, k: int) -> IndependenceReport:
     den, atoms = integer_masses(space)
     for size in range(1, k + 1):
         for coords in combinations(range(space.n), size):
-            total = _parity_sum(den, atoms, _mask(coords))
+            total = _parity_sum(den, atoms, subset_mask(coords))
             if total:
                 return IndependenceReport(k, size - 1, (coords, Fraction(total, den)))
     return IndependenceReport(k, k, None)
@@ -115,7 +108,7 @@ def _marginal_witness(space, coords):
     den, atoms = integer_masses(space)
     for size in range(1, len(coords) + 1):
         for sub in combinations(coords, size):
-            total = _parity_sum(den, atoms, _mask(sub))
+            total = _parity_sum(den, atoms, subset_mask(sub))
             if total:
                 return (sub, Fraction(total, den))
     raise AssertionError("non-uniform marginal without a parity witness")

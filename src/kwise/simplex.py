@@ -15,19 +15,23 @@ Every `maximize` pivots on a copy of one start tableau, fixed by the
 constructor's `start` and `home`, so no result depends on earlier calls.
 
 Each row is kept fraction-free: an integer vector together with one
-positive integer divisor, reduced after every update by the gcd of the
-divisor with the row's content, instead of one divisor shared by the whole
-tableau in the style of Bareiss.  That gcd is the one a full tableau
-B^-1 [A | I | b] would take, since the basic columns only add zeros and the
-row's own divisor, so every stored entry and divisor equals the full
-tableau's entry for the same variable.  True tableau entries are ratios of
-basis minors, and how large the reduced rows get depends on the path of
-bases.  On the flip-symmetric n = 8, k = 4 program of `extremal` the largest
-entry has 20 bits after Dantzig's phase 1 from the all-artificial basis and
-7 bits from the even-weight-code start; at n = 10, k = 4 it has 112 bits
-after Dantzig's phase 1 and 9 bits from the code start, and 23 bits after
-the p = 6 solve from either.  Ratio comparisons never need the divisors at
-all: within one row they cancel.
+positive integer divisor, instead of one divisor shared by the whole tableau
+in the style of Bareiss.  `_reduce_row` is the only code that normalizes a
+row: after every update it divides the row and its divisor by their
+content, signed so that the divisor comes out positive.  That content is
+the one a full tableau B^-1 [A | I | b] would take, since the basic columns
+only add zeros and the row's own divisor, so every stored entry and divisor
+equals the full tableau's entry for the same variable.  How far rows are
+reduced decides only their size: the pivot rules read true values alone
+(Dantzig's rule compares entries of one row, the ratio test cross-multiplies
+within rows, so the divisors cancel, and the contact rule tests for zeros),
+and x and y come back as normalized Fractions.  True tableau entries are
+ratios of basis minors, and how large the reduced rows get depends on the
+path of bases.  On the flip-symmetric n = 8, k = 4 program of `extremal` the
+largest entry has 20 bits after Dantzig's phase 1 from the all-artificial
+basis and 7 bits from the even-weight-code start; at n = 10, k = 4 it has
+112 bits after Dantzig's phase 1 and 9 bits from the code start, and 23 bits
+after the p = 6 solve from either.
 
 Entering columns follow Dantzig's largest-violation rule, ties to the lowest
 variable index; leaving rows use the lexicographic ratio test anchored on
@@ -246,12 +250,11 @@ class ExactSimplex:
         n, m = self.n, self.m
         # objective row holds true reduced costs over one divisor: start from
         # -c and add back the basic rows' contributions on one common scale
-        den = lcm(*(v.denominator for v in cf)) if cf else 1
-        L = den
+        L = lcm(*(v.denominator for v in cf))
         for i in range(m):
             if basis[i] < n and cf[basis[i]]:
                 L = lcm(L, divs[i] * cf[basis[i]].denominator)
-        obj = [-(L // den) * int(cf[j] * den) if j < n else 0 for j in nonbasic] + [0]
+        obj = [-cf[j].numerator * (L // cf[j].denominator) if j < n else 0 for j in nonbasic] + [0]
         for i in range(m):
             if basis[i] < n:
                 coef = cf[basis[i]]
@@ -310,34 +313,25 @@ def _pivot(M: list[list[int]], divs: list[int], r: int, s: int) -> None:
             new = [p2 * x + y for x, y in zip(row, prow)]
         else:
             new = [p2 * x - f2 * y for x, y in zip(row, prow)]
-        dn = divs[i] * p2
-        if dn < 0:
-            dn = -dn
-            new = [-v for v in new]
-        g = gcd(dn, *new)
-        if g > 1:
-            new = [v // g for v in new]
-            dn //= g
         M[i] = new
-        divs[i] = dn
+        divs[i] *= p2
+        _reduce_row(M, divs, i)
     # the pivot row's true values are divided by the pivot entry, so its old
     # divisor cancels and the entry itself becomes the divisor
-    if piv < 0:
-        piv = -piv
-        prow = [-v for v in prow]
-        M[r] = prow
-    g = gcd(piv, *prow)
-    if g > 1:
-        M[r] = [v // g for v in prow]
-        piv //= g
     divs[r] = piv
+    _reduce_row(M, divs, r)
 
 
 def _reduce_row(M: list[list[int]], divs: list[int], i: int) -> None:
-    g = gcd(divs[i], *M[i])
-    if g > 1:
+    """Divide row i and its divisor by their content, signed so that the
+    divisor comes out positive.  The only normalization of a row."""
+    d = divs[i]
+    g = gcd(d, *M[i])
+    if d < 0:
+        g = -g
+    if g != 1:
         M[i] = [v // g for v in M[i]]
-        divs[i] //= g
+        divs[i] = d // g
 
 
 def reduced_costs(rows, y, c) -> tuple[list[int], int]:

@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 import kwise
-from kwise.cli import MAX_P_TERM, MAX_PRECISION_BITS, MAX_SAMPLES, MAX_TABLE_CELLS, _emit, run
+from kwise.cli import (MAX_P_TERM, MAX_PRECISION_BITS, MAX_SAMPLES, MAX_TABLE_CELLS, MAX_TABLE_ENTRIES,
+                       _emit, run)
 from kwise.sampler import Stream, StreamSpec, estimate_moment
 
 
@@ -45,6 +46,15 @@ class TestExitCodes:
         code, _, err = invoke(capsys, "construct", "--construct", "partition", "--n", "5")
         assert code == 1
         assert "even" in err
+
+    def test_one_run_leaves_the_next_unchanged(self, capsys):
+        # the parser is built once per process, and the table's list
+        # defaults are objects it shares across parses
+        _, plain, _ = invoke(capsys, "table")
+        assert invoke(capsys, "table", "--n", "4", "--k", "x")[0] == 2
+        assert invoke(capsys, "table", "--n", "6", "--p", "3", "--k", "3")[0] == 0
+        assert invoke(capsys, "constant", "--n", "4")[0] == 2
+        assert invoke(capsys, "table") == (0, plain, "")
 
     def test_reduced_rejects_weights(self, capsys):
         code, _, err = invoke(
@@ -477,6 +487,35 @@ class TestTable:
         assert out == ""
         assert "usage:" in err and str(MAX_TABLE_CELLS) in err
 
+    def test_grid_over_the_entry_budget_is_usage_error(self, capsys, monkeypatch):
+        import kwise.cli as cli
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a refused grid must not be solved")
+
+        monkeypatch.setattr(cli, "solve_reduced", no_solve)
+        per_cell = (8 + 1) * (128 + 1)  # entries of the n = 128, k = 8 program
+        cells = MAX_TABLE_ENTRIES // per_cell + 1
+        assert cells <= MAX_TABLE_CELLS and cells * per_cell - per_cell <= MAX_TABLE_ENTRIES
+        t0 = time.perf_counter()
+        code, out, err = invoke(capsys, "table", "--n", ",".join(["128"] * cells), "--p", "4", "--k", "8")
+        assert time.perf_counter() - t0 < 1
+        assert code == 2
+        assert out == ""
+        assert "usage:" in err and str(MAX_TABLE_ENTRIES) in err
+
+    def test_even_n_sweep_is_within_the_entry_budget(self, capsys, monkeypatch):
+        # even n up to 128, eight p and k = 1..8: 1.48 M entries
+        import kwise.cli as cli
+
+        def reached(*args, **kwargs):
+            raise ValueError("solve reached")
+
+        monkeypatch.setattr(cli, "solve_reduced", reached)
+        code, out, err = invoke(capsys, "table", "--n", ",".join(map(str, range(2, 129, 2))),
+                                "--p", "2,3,4,5,6,7/2,9/2,8", "--k", "1,2,3,4,5,6,7,8")
+        assert (code, out, err) == (1, "", "error: solve reached\n")
+
     def test_grid_at_the_cap_is_admitted(self, capsys):
         # every cell has k > n, so the admitted grid solves nothing
         ns = ",".join(["1"] * MAX_TABLE_CELLS)
@@ -544,3 +583,52 @@ class TestFormats:
         lines = out.strip().split("\n")
         assert lines[0].split()[:3] == ["n", "p", "k"]
         assert len(lines) == 3
+
+
+# One process runs every argv in order; the digest covers each exit code and
+# stdout, concatenated.  It covers every subcommand and format, the
+# unreduced program with weights, a fractional p and an odd n, one usage
+# error and one computation error.  Recorded at commit 9e1ca50.
+GOLDEN_ARGV = (
+    ("construct", "--construct", "partition", "--n", "6"),
+    ("construct", "--construct", "xor", "--n", "3", "--format", "csv"),
+    ("construct", "--construct", "independent", "--n", "3", "--format", "table"),
+    ("verify", "--construct", "partition", "--n", "6", "--k", "3"),
+    ("verify", "--construct", "xor", "--n", "3", "--k", "3", "--format", "csv"),
+    ("moment", "--construct", "partition", "--n", "6", "--p", "4"),
+    ("moment", "--construct", "independent", "--n", "4", "--p", "7/2", "--a", "1,2,1/2,3",
+     "--format", "table"),
+    ("bound", "--kind", "haagerup", "--p", "3"),
+    ("bound", "--kind", "sharp", "--n", "8", "--p", "5/2", "--format", "csv"),
+    ("bound", "--kind", "interpolation", "--n", "12", "--p", "6", "--k", "4", "--format", "table"),
+    ("constant", "--n", "10", "--p", "4", "--k", "2"),
+    ("constant", "--n", "64", "--p", "7/2", "--k", "3", "--format", "csv"),
+    ("constant", "--full", "--n", "6", "--p", "4", "--k", "2"),
+    ("constant", "--full", "--n", "5", "--p", "3", "--k", "2", "--a", "1,2,3,1/2,3/2"),
+    ("constant", "--full", "--n", "6", "--p", "7/2", "--k", "3", "--format", "table"),
+    ("constant", "--full", "--n", "7", "--p", "5", "--k", "4", "--format", "csv"),
+    ("constant", "--full", "--n", "8", "--p", "5", "--k", "4"),
+    ("sample", "--kind", "partition", "--n", "6", "--samples", "5", "--seed", "3"),
+    ("sample", "--kind", "xor", "--n", "4", "--samples", "4", "--format", "csv"),
+    ("sample", "--kind", "independent", "--n", "10", "--samples", "3", "--seed", "7",
+     "--format", "table"),
+    ("estimate", "--kind", "partition", "--n", "8", "--p", "4", "--samples", "500", "--seed", "1"),
+    ("estimate", "--kind", "xor", "--n", "3", "--p", "5/2", "--a", "1,2,3,1/2,1,1,2,3",
+     "--samples", "300", "--format", "csv"),
+    ("estimate", "--kind", "independent", "--n", "12", "--p", "3", "--samples", "300",
+     "--format", "table"),
+    ("table", "--n", "4,6", "--p", "2,4", "--k", "2,3"),
+    ("table", "--n", "5,8", "--p", "3,9/2", "--k", "2,4", "--format", "csv"),
+    ("table", "--n", "6", "--p", "4", "--k", "1,2", "--format", "table"),
+    ("constant", "--n", "4"),
+    ("sample", "--kind", "xor", "--n", "7", "--samples", "1"),
+)
+GOLDEN_DIGEST = "721d6e92c560f7d8a77ddb8339a554be54ee5bdd6ca1673a4acbba2ec85c7633"
+
+
+def test_golden_cli_bytes(capsys):
+    h = hashlib.sha256()
+    for argv in GOLDEN_ARGV:
+        code, out, _ = invoke(capsys, *argv)
+        h.update(f"{code}\n{out}".encode())
+    assert h.hexdigest() == GOLDEN_DIGEST

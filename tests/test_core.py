@@ -14,6 +14,7 @@ from kwise.core import (
     expand,
     integer_masses,
     project_marginal,
+    subset_mask,
     symmetrize,
     uniform_cube,
     walsh_hadamard,
@@ -156,6 +157,12 @@ def test_project_marginal_collapses_correlated_pair():
     assert pair.probability(SignVector(2, 0b00)) == Fraction(1, 2)
     assert pair.probability(SignVector(2, 0b11)) == Fraction(1, 2)
     assert pair.probability(SignVector(2, 0b01)) == 0
+
+
+@given(st.sets(st.integers(0, 70)))
+def test_subset_mask_sets_one_bit_per_coordinate(coords):
+    mask = subset_mask(sorted(coords))
+    assert [i for i in range(mask.bit_length()) if mask >> i & 1] == sorted(coords)
 
 
 @given(st.integers(0, 6).flatmap(

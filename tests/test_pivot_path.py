@@ -69,3 +69,21 @@ def test_warm_solve_full_sequence_digest():
         assert sol.certificate_ok is True, (n, p, k)
         h.update(json.dumps(sol.to_json()).encode())
     assert h.hexdigest() == WARM_DIGEST
+
+
+def test_pivot_path_ignores_row_scaling(monkeypatch):
+    # Dantzig's rule compares entries of one row, the ratio test
+    # cross-multiplies within rows, the contact rule tests for zeros, and x
+    # and y come back as normalized Fractions: so rows kept with only a
+    # positive divisor, never divided by their content, take the same path
+    def sign_only(M, divs, i):
+        if divs[i] < 0:
+            M[i] = [-v for v in M[i]]
+            divs[i] = -divs[i]
+
+    monkeypatch.setattr(simplex, "_reduce_row", sign_only)
+    try:
+        test_pivot_counts_per_phase(monkeypatch)
+        test_warm_solve_full_sequence_digest()
+    finally:
+        extremal._flip_solver.cache_clear()  # its tableaux were built unreduced
