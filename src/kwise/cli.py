@@ -3,7 +3,8 @@
 Subcommands map one-to-one onto the library modules: construct, verify,
 moment, bound, constant, sample, estimate, and table (a sweep comparing the
 program optimum against the closed-form values).  Output is canonical JSON by
-default; csv and table are flat renderings of the same data.  All output is
+default; csv and table are flat renderings of the same data (`sample` writes
+its rows itself, in the bytes `_emit` gives the row list).  All output is
 deterministic: identical flags, including --seed, give identical bytes.
 
 Exit codes: 0 success, 2 usage error, 1 computation error.
@@ -20,24 +21,23 @@ from functools import cache
 from .bounds import haagerup_constant, interpolation_bound, sharp_pairwise_value
 from .constructions import independent_space, partition_space, xor_space
 from .core import DIGITS, MAX_ENUMERATION, _frac_str, _value_json, sign_string
-from .extremal import solve_full, solve_reduced
+from .extremal import MAX_REDUCED_BITS, program_cost, solve_full, solve_reduced
 from .independence import check_kwise
 from .intervals import DEFAULT_PREC
 from .moments import Weights, pth_moment, ratio_from_moment
 from .sampler import Stream, StreamSpec, estimate_moment
 
 # Caps on the inputs whose cost grows without bound, checked at parse time
-# and set from measured time (2-core host, Python 3.11): at |p| = 4095 an
-# n = 10000 reduced program takes about 10 s and 280 MB; at 1024 bits a
+# and set from measured time (2-core host, Python 3.11): at 1024 bits a
 # Stirling-series haagerup bound takes about 2 s (17 s at 2048); a million
 # xor draws take about 9 s; a 4096-cell table (even n up to 128, k up to 8)
-# took 15-22 s.  A table is also capped by its programs' summed entries,
-# (k + 1)(n + 1) per solved cell as `extremal._validate` counts them: that
-# grid has 1.48 M, and the costliest entries measured, at n = 6817 and
-# k = 10, take about 90 us each at p = 4 and 320 us at p = 4095/2048, so a
-# grid at the budget takes minutes, not the hours 4096 such cells would.
-# The --n of an explicit law (construct, verify, moment) is capped at
-# MAX_ENUMERATION, set from memory.
+# took 15-22 s.  A table is also capped by its programs' summed entries and
+# objective bits as `extremal.program_cost` counts them, the bits at one
+# reduced program's bound: that grid has 1.48 M entries, and the costliest
+# measured, at n = 6817 and k = 10, take about 90 us each at p = 4 and
+# 320 us at p = 4095/2048, so a grid at the budget takes minutes, not the
+# hours 4096 such cells would.  The --n of an explicit law (construct,
+# verify, moment) is capped at MAX_ENUMERATION, set from memory.
 MAX_P_TERM = 4096  # numerator and denominator of --p
 MAX_PRECISION_BITS = 1024
 MAX_SAMPLES = 1_000_000
@@ -106,36 +106,19 @@ def _cell(v) -> str:
 
 
 def _emit(data, fmt: str) -> None:
-    """data is one dict, a list of row dicts sharing a schema, or a pair
-    (longest, rows): the length of the longest cell in each column, keyed
-    by heading, and an iterator of rows, which are printed as they come."""
-    if isinstance(data, dict):
-        if fmt == "json":
-            print(json.dumps(data))
-            return
-        data = [{"field": k, "value": v} for k, v in data.items()]
-    longest, rows = (None, data) if isinstance(data, list) else data
+    """data is one dict or a list of row dicts sharing a schema."""
     if fmt == "json":
-        # the bytes of json.dumps(list(rows)), encoded 1024 rows at a time
-        write = sys.stdout.write
-        rows = iter(rows)
-        write("[")
-        sep = ""
-        while chunk := [row for _, row in zip(range(1024), rows)]:
-            write(sep + json.dumps(chunk)[1:-1])
-            sep = ", "
-        write("]\n")
+        print(json.dumps(data))
         return
-    header = list(longest) if longest else list(rows[0]) if rows else []
+    rows = [{"field": k, "value": v} for k, v in data.items()] if isinstance(data, dict) else data
+    header = list(rows[0]) if rows else []
     if fmt == "csv":
         print(",".join(header))
         for row in rows:
             cells = [_cell(row.get(h)) for h in header]
             print(",".join(['"%s"' % v.replace('"', '""') if "," in v or '"' in v else v for v in cells]))
         return
-    if longest is None:
-        longest = {h: max(len(_cell(row.get(h))) for row in rows) for h in header}
-    widths = [max(len(h), longest[h]) for h in header]
+    widths = [max(len(h), *(len(_cell(row.get(h))) for row in rows)) for h in header]
     print("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
     for row in rows:
         print("  ".join(_cell(row.get(h)).ljust(w) for h, w in zip(header, widths)).rstrip())
@@ -208,14 +191,25 @@ def _cmd_constant(args) -> dict:
     return out
 
 
-def _cmd_sample(args):
-    """Rows for _emit to print as they are drawn, so that memory stays flat
-    in the sample count."""
+def _cmd_sample(args) -> None:
+    """Writes the rows as they are drawn, 4096 to a write, so that memory
+    stays flat in the sample count, in the bytes `_emit` gives the row list."""
     stream = Stream(StreamSpec(args.kind, args.n, args.seed))
-    n, draw = stream.spec.dimension, stream.draw_bits
+    n, draw, samples = stream.spec.dimension, stream.draw_bits, args.samples
     first = sign_string(n, draw())  # a dimension too wide to draw fails here, before any output
-    rows = ({"draw": i, "signs": sign_string(n, draw()) if i else first} for i in range(args.samples))
-    return {"draw": len(str(args.samples - 1)), "signs": n}, rows
+    if args.format == "json":
+        head, row, sep, tail = "[", '{"draw": %d, "signs": "%s"}', ", ", "]\n"
+    elif args.format == "csv":
+        head, row, sep, tail = "draw,signs\n", "%d,%s", "\n", "\n"
+    else:
+        width = max(len("draw"), len(str(samples - 1)))
+        head, row, sep, tail = "draw".ljust(width) + "  signs\n", f"%-{width}d  %s", "\n", "\n"
+    write = sys.stdout.write
+    write(head + row % (0, first))
+    row = sep + row
+    for start in range(1, samples, 4096):
+        write("".join([row % (i, sign_string(n, draw())) for i in range(start, min(start + 4096, samples))]))
+    write(tail)
 
 
 def _cmd_estimate(args) -> dict:
@@ -356,10 +350,13 @@ def run(argv) -> int:
         if args.command == "table":
             if len(args.n) * len(args.p) * len(args.k) > MAX_TABLE_CELLS:
                 args.grid_error(f"the --n, --p and --k lists make more than {MAX_TABLE_CELLS} cells")
-            entries = len(args.p) * sum((k + 1) * (n + 1) for n in args.n for k in args.k if 1 <= k <= n)
-            if entries > MAX_TABLE_ENTRIES:
+            costs = [program_cost(n, p, k) for n in args.n for p in args.p for k in args.k if 1 <= k <= n]
+            if sum(rows * cols for rows, cols, _ in costs) > MAX_TABLE_ENTRIES:
                 args.grid_error(f"the --n, --p and --k lists make programs of more than "
                                 f"{MAX_TABLE_ENTRIES} entries in all")
+            if sum(bits for *_, bits in costs) > MAX_REDUCED_BITS:
+                args.grid_error(f"the --n, --p and --k lists make objectives of more than "
+                                f"{MAX_REDUCED_BITS} bits in all")
     except SystemExit as exc:  # argparse handles usage/help printing
         return int(exc.code or 0)
     try:
@@ -367,7 +364,8 @@ def run(argv) -> int:
     except (ValueError, RuntimeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(data, args.format)
+    if data is not None:  # None: the subcommand wrote its own output
+        _emit(data, args.format)
     return 0
 
 

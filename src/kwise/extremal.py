@@ -4,7 +4,8 @@ Two routes to the same optimum: `solve_full` works on all 2^n sign patterns
 with one parity constraint per coordinate subset of size at most k (solved
 on the flip-symmetric pairs {x, ~x}, certified on every atom by Walsh-Hadamard
 transforms), while `solve_reduced` exploits permutation symmetry and optimizes
-over Hamming weight profiles with k constraint rows (certified by `simplex`).
+over Hamming weight profiles with k constraint rows (certified by `simplex`
+on rows of its own, from the Krawtchouk recurrence).
 Both return exact rational values for integer exponents and certified
 enclosures otherwise.
 """
@@ -12,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, combinations
-from math import comb, lcm
+from math import ceil, comb, lcm
 from typing import Optional, Union
 
 from .core import (SampleSpace, SignVector, WeightProfile, _frac_str, _value_json, subset_mask,
@@ -36,6 +37,16 @@ MAX_FULL_DIMENSION = 12
 MAX_REDUCED_ROWS = 11
 MAX_REDUCED_ENTRIES = 75_000
 MAX_FULL_ENTRIES = 140_000
+# The objective's bits, as `program_cost` counts them, are bounded apart.
+# At (6817, 10) the reduced solve keeps its 178 pivots at every large p, but
+# its time grows with the bits, faster at odd p: 15 s at p = 3500 and 37 s
+# at p = 3501 (3.1e8 bits), 42 s at p = 4095 (3.6e8).  The bound admits p
+# up to 3028 there; p = 3027 took 29 s.  The flip program's time follows
+# its pivots more than its bits (31.5 s at (10, 4) and 35 s at (12, 2) at
+# p = 4095, all-ones), but weights of 61 bits made 3.4e7 bits take 43-48 s;
+# at its bound, (12, 2) at p = 1023 took 32 s.
+MAX_REDUCED_BITS = 1 << 28
+MAX_FULL_BITS = 1 << 23
 
 ODD_DIMENSION_NOTE = (
     "odd dimension: value is the exact program optimum; "
@@ -78,6 +89,19 @@ def _reduced_rows(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], tuple[in
     return tuple(rows), (1,) + (0,) * k
 
 
+def _krawtchouk_rows(n: int, k: int) -> list[list[int]]:
+    """The reduced program's rows, built apart from `_reduced_rows` for the
+    certificates: K_j(m) = parity_class_sum(n, j, m) for j = 0..k from the
+    three-term recurrence K_0 = 1, K_1 = 2m - n and
+    (j + 1) K_{j+1} = (2m - n) K_j - (n - j + 1) K_{j-1}, whose division is
+    exact.  The right-hand side is e_0."""
+    d = [2 * m - n for m in range(n + 1)]
+    rows = [[1] * (n + 1), d]
+    for j in range(1, k):
+        rows.append([(x * u - (n - j + 1) * v) // (j + 1) for x, u, v in zip(d, rows[j], rows[j - 1])])
+    return rows[:k + 1]
+
+
 @dataclass(frozen=True, slots=True)
 class ReducedLp:
     """Weight-profile program: maximize sum(objective[m] * q[m]) subject to
@@ -99,8 +123,11 @@ def reduced_lp(n: int, p, k: int, prec: int = DEFAULT_PREC) -> ReducedLp:
     """
     pf = _validate(n, p, k, full=False)
     rows, rhs = _reduced_rows(n, k)
-    obj = _powers([abs(2 * m - n) for m in range(n + 1)], pf, prec)
-    return ReducedLp(n, k, tuple(obj), rows, rhs)
+    return ReducedLp(n, k, tuple(_reduced_objective(n, pf, prec)), rows, rhs)
+
+
+def _reduced_objective(n: int, p: Fraction, prec: int) -> list:
+    return _powers([abs(2 * m - n) for m in range(n + 1)], p, prec)
 
 
 def _powers(bases, p: Fraction, prec: int) -> list:
@@ -112,11 +139,30 @@ def _powers(bases, p: Fraction, prec: int) -> list:
     return [memo[b] for b in bases]
 
 
-def _validate(n, p, k, full: bool) -> Fraction:
+def program_cost(n: int, p, k: int, full: bool = False,
+                 a: Optional[Weights] = None) -> tuple[int, int, int]:
+    """(rows, columns, objective bits) of the program of n, p and k on its
+    route, counted without building it: k + 1 rows by n + 1 columns for the
+    reduced program, the even-size parity rows by 2^(n-1) columns for the
+    flip-symmetric one, and per column |p| times the bits of the largest
+    base.  That base is |<a, x>| <= sum |a_i| over the weights' common
+    denominator, n for all-ones weights.  A fractional p adds about `prec`
+    bits per column, the width of its enclosures, which is not counted."""
+    if full:
+        rows, cols = sum(comb(n, j) for j in range(0, k + 1, 2)), 1 << (n - 1)
+    else:
+        rows, cols = k + 1, n + 1
+    if a is None:
+        base = n.bit_length()
+    else:
+        den, w = a.integer_form()
+        base = sum(map(abs, w)).bit_length() + den.bit_length() - 1
+    return rows, cols, cols * ceil(abs(Fraction(p)) * base)
+
+
+def _validate(n, p, k, full: bool, a: Optional[Weights] = None) -> Fraction:
     """The exponent as a Fraction, once n, p and k are checked and the
-    program's size is within its route's bounds: k + 1 rows by n + 1
-    columns for the reduced program, and for the flip-symmetric one the
-    even-size parity rows by 2^(n-1) columns."""
+    program's `program_cost` is within its route's bounds."""
     if not isinstance(n, int) or not isinstance(k, int):
         raise TypeError("dimension and independence order must be integers")
     if n < 1:
@@ -126,17 +172,17 @@ def _validate(n, p, k, full: bool) -> Fraction:
         raise ValueError(f"dimension too large: {n} > {n_cap}")
     if not 1 <= k <= n:
         raise ValueError(f"independence order must be in [1, {n}], got {k}")
-    if full:
-        rows, cols, cap = sum(comb(n, j) for j in range(0, k + 1, 2)), 1 << (n - 1), MAX_FULL_ENTRIES
-    else:
-        rows, cols, cap = k + 1, n + 1, MAX_REDUCED_ENTRIES
-        if rows > MAX_REDUCED_ROWS:
-            raise ValueError(f"program too large: {rows} rows > {MAX_REDUCED_ROWS}")
+    pf = Fraction(p)
+    rows, cols, bits = program_cost(n, pf, k, full, a)
+    cap, bit_cap = (MAX_FULL_ENTRIES, MAX_FULL_BITS) if full else (MAX_REDUCED_ENTRIES, MAX_REDUCED_BITS)
+    if not full and rows > MAX_REDUCED_ROWS:
+        raise ValueError(f"program too large: {rows} rows > {MAX_REDUCED_ROWS}")
     if rows * cols > cap:
         raise ValueError(f"program too large: {rows} rows x {cols} columns > {cap} entries")
-    pf = Fraction(p)
     if pf < 1:
         raise ValueError(f"exponent must be at least 1, got {p}")
+    if bits > bit_cap:
+        raise ValueError(f"program too large: objective of {bits} bits > {bit_cap}")
     return pf
 
 
@@ -188,7 +234,7 @@ class LpSolution:
         return out
 
 
-def _solve(solver: ExactSimplex, objective):
+def _solve(solver: ExactSimplex, objective, slack):
     """One solver pass.  Returns (c, result, value): the coefficients c
     actually solved, the solver's result for them, and the value, which the
     caller certifies by checking result.x and result.y against c.
@@ -196,19 +242,20 @@ def _solve(solver: ExactSimplex, objective):
     Interval coefficients are solved once, at their midpoints.  With x and y
     the midpoint optimizer and dual, the value is the weak-duality enclosure
     [c_lo.x, b.y + max(0, max_j (c_hi - A^T y)_j)].  Invariant: row 0 of
-    every program solved here is the all-ones normalization row with
-    right-hand side 1, so raising y_0 by the shift makes any y dual-feasible
-    for c_hi.  The result depends only on the solver's program and start
-    basis and on the objective, not on earlier passes."""
+    every program solved here is the all-ones normalization row, and the
+    right-hand side is e_0, so b.y = y_0 and raising y_0 by the shift makes
+    any y dual-feasible for c_hi.  A^T y - c comes from `slack(y, c)`, the
+    route's own check data, never from the solver's rows.  The result
+    depends only on the solver's program and start basis and on the
+    objective, not on earlier passes."""
     exact = not isinstance(objective[0], Interval)
     c = [Fraction(v) for v in objective] if exact else [v.midpoint for v in objective]
     res = solver.maximize(c)
     if exact:
         return c, res, res.value
     lo = sum((v.lo * xj for v, xj in zip(objective, res.x) if xj), Fraction(0))
-    slack, den = reduced_costs(solver.rows, res.y, [v.hi for v in objective])
-    by = sum((yi * b for yi, b in zip(res.y, solver.rhs) if yi), Fraction(0))
-    return c, res, Interval(lo, by + Fraction(max(0, -min(slack)), den))
+    num, den = slack(res.y, [v.hi for v in objective])
+    return c, res, Interval(lo, res.y[0] + Fraction(max(0, -min(num)), den))
 
 
 def solve_reduced(
@@ -226,7 +273,9 @@ def solve_reduced(
     rows, so the optimizer, dual and `unique` do not depend on anything the
     process solved before."""
     program = reduced_lp(n, p, k, prec)
-    c, res, value = _solve(ExactSimplex(program.rows, program.rhs), program.objective)
+    check = _krawtchouk_rows(n, k)
+    c, res, value = _solve(ExactSimplex(program.rows, program.rhs), program.objective,
+                           partial(reduced_costs, check))
     sol = LpSolution(
         kind="reduced",
         n=n,
@@ -235,7 +284,7 @@ def solve_reduced(
         optimal_value=value,
         optimizer=WeightProfile(n, res.x),
         dual=res.y,
-        certificate_ok=verify_certificate(program.rows, program.rhs, c, res.x, res.y),
+        certificate_ok=verify_certificate(check, [1] + [0] * k, c, res.x, res.y),
         note=ODD_DIMENSION_NOTE if n % 2 else None,
         prec=prec,
     )
@@ -295,6 +344,21 @@ def _signed_sums(a: Weights) -> tuple[list[int], int]:
     return walsh_hadamard(f), den
 
 
+def _atom_slack(n: int, labels, dual, c) -> tuple[list[int], int]:
+    """A^T y - c at the last len(c) of the 2^n atoms, with `dual` aligned
+    with labels: (num, den) with den > 0, as `reduced_costs` returns it.
+    A^T y at every atom is the transform of the signed dual
+    (-1)^|T| * y_T at the masks; on the top half of the atoms, which are the
+    flip program's columns, it is that program's A^T y when the dual is 0
+    on every odd-size label."""
+    den = lcm(*(v.denominator for v in dual), *{v.denominator for v in c})
+    f = [0] * (1 << n)
+    for t, y in zip(labels, dual):
+        f[subset_mask(t)] = (-1) ** len(t) * y.numerator * (den // y.denominator)
+    aty = walsh_hadamard(f)[(1 << n) - len(c):]
+    return [u - v.numerator * (den // v.denominator) for u, v in zip(aty, c)], den
+
+
 def _certify_full(n: int, labels, c, law, dual) -> bool:
     """Exact certificate that `law` maximizes c.law on the 2^n atoms subject
     to E chi_T = 0 at every label after (), with `dual` aligned with labels.
@@ -310,11 +374,7 @@ def _certify_full(n: int, labels, c, law, dual) -> bool:
     moments = walsh_hadamard([v.numerator * (den // v.denominator) for v in law])
     if moments[0] != den or any(moments[m] for m in masks[1:]):
         return False
-    den = lcm(*(v.denominator for v in dual), *{v.denominator for v in c})
-    f = [0] * (1 << n)
-    for t, m, y in zip(labels, masks, dual):
-        f[m] = (-1) ** len(t) * y.numerator * (den // y.denominator)
-    slack = [u - v.numerator * (den // v.denominator) for u, v in zip(walsh_hadamard(f), c)]
+    slack, _ = _atom_slack(n, labels, dual, c)
     if min(slack) < 0 or any(slack[x] for x in support):
         return False
     return sum((c[x] * law[x] for x in support), Fraction(0)) == dual[0]
@@ -343,7 +403,7 @@ def solve_full(
     the odd-size rows, and `_certify_full` checks every unreduced row.  The
     two programs share their optimum, so the weak-duality end of a
     fractional-p enclosure is taken on the flip-symmetric one."""
-    pf = _validate(n, p, k, full=True)
+    pf = _validate(n, p, k, full=True, a=a)
     if a is None:
         a = Weights.all_ones(n)
     if a.n != n:
@@ -352,14 +412,15 @@ def solve_full(
     flip = (1 << n) - 1
     sums, den = _signed_sums(a)
     objective = _powers([Fraction(abs(v), den) for v in sums[half:]], pf, prec)
-    c, res, value = _solve(_flip_solver(n, k - k % 2), objective)
+    labels = full_constraint_labels(n, k)
+    even = [t for t in labels if len(t) % 2 == 0]  # the flip program's rows, in order
+    c, res, value = _solve(_flip_solver(n, k - k % 2), objective, partial(_atom_slack, n, even))
     # atom x takes half the mass of its pair's column, whichever member it is
     pair = [(x if x >= half else x ^ flip) - half for x in range(1 << n)]
     law = [res.x[j] / 2 for j in pair]
     # the dual on the unreduced rows: zero on every odd-size label
-    even = iter(res.y)
-    labels = full_constraint_labels(n, k)
-    dual = tuple(next(even) if len(t) % 2 == 0 else Fraction(0) for t in labels)
+    ys = iter(res.y)
+    dual = tuple(next(ys) if len(t) % 2 == 0 else Fraction(0) for t in labels)
     masses = {x: v for x, v in enumerate(law) if v}
     return LpSolution(
         kind="full",
@@ -387,13 +448,15 @@ def uniqueness_check(solution: LpSolution) -> bool:
         raise ValueError("uniqueness is only decided for reduced solutions")
     if not isinstance(solution.optimal_value, Fraction):
         raise ValueError("uniqueness needs the exact path (integer exponent)")
-    program = reduced_lp(solution.n, solution.p, solution.k)
+    n, k = solution.n, solution.k
+    c = _reduced_objective(n, _validate(n, solution.p, k, full=False), DEFAULT_PREC)
+    rows, rhs = _krawtchouk_rows(n, k), [1] + [0] * k
     q = solution.optimizer.q
-    if not verify_certificate(program.rows, program.rhs, program.objective, q, solution.dual):
+    if not verify_certificate(rows, rhs, c, q, solution.dual):
         raise ValueError("solution is not a certified optimum of the stated program")
-    slack, _ = reduced_costs(program.rows, solution.dual, program.objective)
+    slack, _ = reduced_costs(rows, solution.dual, c)
     face = [j for j, s in enumerate(slack) if s == 0]
-    solver = ExactSimplex([[row[j] for j in face] for row in program.rows], program.rhs,
+    solver = ExactSimplex([[row[j] for j in face] for row in rows], rhs,
                           start=[t for t, j in enumerate(face) if q[j]])
     try:
         # certified, so x* is feasible on the face: only dependence can raise

@@ -168,6 +168,33 @@ class TestInputBounds:
         assert "program too large" in err
 
     @pytest.mark.parametrize(
+        "argv,code",
+        [
+            # 6818 columns of about 52 000 bits: admitted before, it took 40 s
+            (("constant", "--n", "6817", "--p", "4095", "--k", "10"), 1),
+            (("constant", "--full", "--n", "12", "--p", "4095", "--k", "2"), 1),
+            # one weight of 1329 bits: 2048 columns of 5316 bits
+            (("constant", "--full", "--n", "12", "--p", "4", "--k", "2", "--a", "1," * 11 + "9" * 400), 1),
+            (("table", "--n", "6817", "--p", "4095", "--k", "10"), 2),
+            # each cell is admitted alone, but not the three together
+            (("table", "--n", "4000,4000,4000", "--p", "2048", "--k", "2"), 2),
+        ],
+    )
+    def test_objective_over_the_bit_budget_fails_fast(self, capsys, monkeypatch, argv, code):
+        import kwise.extremal as extremal
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("a refused program must not be built")
+
+        for name in ("_reduced_rows", "_flip_program", "_powers"):
+            monkeypatch.setattr(extremal, name, no_build)
+        start = time.perf_counter()
+        got, out, err = invoke(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (got, out) == (code, "")
+        assert "bits" in err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("construct", "--construct", "partition", "--n", "4"),
@@ -438,6 +465,23 @@ class TestSampleAndEstimate:
         assert code == 0
         # building every row before printing peaked at 36 MB (json) and 45 MB (table)
         assert peak < 2_000_000
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    def test_sample_writes_rows_in_blocks(self, fmt):
+        class Sink(io.TextIOBase):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                return len(text)
+
+        sink = Sink()
+        with contextlib.redirect_stdout(sink):
+            code = run(["sample", "--kind", "independent", "--n", "8", "--samples", "100000",
+                        "--format", fmt])
+        assert code == 0
+        # one print per row made at least 100000 writes
+        assert sink.writes <= 100
 
     def test_estimate_matches_library(self, capsys):
         code, out, _ = invoke(

@@ -2,6 +2,7 @@
 probing, and the sharp-support test."""
 import dataclasses
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -369,6 +370,18 @@ class TestWorkBounds:
     def test_cells_in_use_are_admitted(self, n, k, full):
         assert extremal._validate(n, 8, k, full) == 8
 
+    def test_cost_counts_the_objective_bits(self):
+        # |2m - n|^p with n = 6817 (13 bits): p = 3028 is the largest admitted
+        assert extremal.program_cost(6817, 3027, 10) == (11, 6818, 6818 * 39351)
+        assert extremal._validate(6817, 3028, 10, False) == 3028
+        with pytest.raises(ValueError, match="program too large: objective"):
+            extremal._validate(6817, 3029, 10, False)
+        # weights 1 and 2/3 are 3 and 2 over 3: a sum of 3 bits and a
+        # denominator of 2 bits make bases of 4 bits, 14 at p = 7/2
+        a = Weights((1, Fraction(2, 3)))
+        assert extremal.program_cost(2, Fraction(7, 2), 2, full=True, a=a) == (2, 2, 2 * 14)
+        assert extremal.program_cost(12, 1024, 2, full=True)[2] <= extremal.MAX_FULL_BITS
+
     @pytest.mark.parametrize("n,k,full", [(10000, 7, False), (20, 11, False), (1000, 30, False),
                                           (200, 100, False), (11, 4, True), (12, 4, True),
                                           (10, 6, True)])
@@ -665,6 +678,53 @@ class TestIntervalEnclosure:
             calls.update(solves=0, verify=0, certify_full=0)
             assert solve().certificate_ok is True
             assert (calls["solves"], calls["verify"], calls["certify_full"]) == want
+
+
+class TestCheckData:
+    """Certificates and enclosures read data of their own, never the rows the
+    solver pivots on."""
+
+    def test_krawtchouk_rows_match_the_binomial_sums(self):
+        start = time.perf_counter()
+        for n in range(1, 40):
+            for k in range(1, min(n, 10) + 1):
+                assert extremal._krawtchouk_rows(n, k) == [list(r) for r in extremal._reduced_rows(n, k)[0]]
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("n,p,k", [(10, 4, 2), (9, 5, 3), (64, 4, 2)])
+    def test_corrupted_solver_rows_fail_the_certificate(self, monkeypatch, n, p, k):
+        # one class coefficient off by 2: the solver finds the optimum of the
+        # wrong program (640 instead of 1000 at (10, 4, 2)) and its dual
+        # checks on those rows, but not on the recurrence rows
+        real = extremal._reduced_rows
+
+        def corrupted(n, k):
+            rows, rhs = real(n, k)
+            rows = [list(r) for r in rows]
+            rows[2][n // 2] += 2
+            return tuple(map(tuple, rows)), rhs
+
+        monkeypatch.setattr(extremal, "_reduced_rows", corrupted)
+        start = time.perf_counter()
+        assert solve_reduced(n, p, k).certificate_ok is False
+        assert time.perf_counter() - start < 1
+
+    def test_enclosure_ignores_the_solver_rows(self, monkeypatch):
+        cells = ((solve_reduced, 10, Fraction(7, 2), 3), (solve_full, 5, Fraction(5, 2), 3))
+        fresh = [solve(n, p, k).optimal_value for solve, n, p, k in cells]
+        maximize = ExactSimplex.maximize
+
+        def corrupting(self, c):
+            # after the solve, every stored row and right-hand side is off
+            res = maximize(self, c)
+            monkeypatch.setattr(self, "rows", [[v + 1 for v in row] for row in self.rows])
+            monkeypatch.setattr(self, "rhs", [b + 1 for b in self.rhs])
+            return res
+
+        monkeypatch.setattr(ExactSimplex, "maximize", corrupting)
+        start = time.perf_counter()
+        assert [solve(n, p, k).optimal_value for solve, n, p, k in cells] == fresh
+        assert time.perf_counter() - start < 1
 
 
 class TestEqualitySupport:
