@@ -206,7 +206,7 @@ def _cmd_sample(args) -> None:
         head, row, sep, tail = "draw".ljust(width) + "  signs\n", f"%-{width}d  %s", "\n", "\n"
     write = sys.stdout.write
     write(head + row % (0, first))
-    row = sep + row
+    row = sep + row  # every later row follows a separator
     for start in range(1, samples, 4096):
         write("".join([row % (i, sign_string(n, draw())) for i in range(start, min(start + 4096, samples))]))
     write(tail)
