@@ -17,11 +17,12 @@ import os
 import sys
 from fractions import Fraction
 from functools import cache
+from math import comb
 
 from .bounds import haagerup_constant, interpolation_bound, sharp_pairwise_value
 from .constructions import independent_space, partition_space, xor_space
 from .core import DIGITS, MAX_ENUMERATION, _frac_str, _value_json, sign_string
-from .extremal import MAX_REDUCED_BITS, program_cost, solve_full, solve_reduced
+from .extremal import MAX_REDUCED_BITS, _validate, program_cost, solve_full, solve_reduced
 from .independence import check_kwise
 from .intervals import DEFAULT_PREC
 from .moments import Weights, pth_moment, ratio_from_moment
@@ -43,6 +44,11 @@ MAX_PRECISION_BITS = 1024
 MAX_SAMPLES = 1_000_000
 MAX_TABLE_CELLS = 4096  # |--n| * |--p| * |--k|, checked once all three are parsed
 MAX_TABLE_ENTRIES = 1_500_000  # (k + 1)(n + 1) summed over the cells, checked next
+# verify's parity sums visit every atom once per coordinate set of size 1..k,
+# at 110-175 ns a visit (fresh processes, n = 12..19), so this bound on the
+# visits is 15-25 s; independent n = 19, k = 2 (1e8 visits) took 13 s.  The
+# --n cap bounds the law's memory, not this.
+MAX_VERIFY_VISITS = 1 << 27
 
 CONSTRUCTIONS = {
     "partition": partition_space,
@@ -133,8 +139,14 @@ def _cmd_construct(args) -> dict:
 
 
 def _cmd_verify(args) -> dict:
-    space = CONSTRUCTIONS[args.construct](args.n)
-    return check_kwise(space, args.k).to_json()
+    n, k = args.n, args.k
+    # (dimension, support size) of the law, known before it is built
+    dim, atoms = {"partition": (n, comb(n, n // 2) + 2), "xor": (1 << n, 1 << (n + 1)),
+                  "independent": (n, 1 << n)}[args.construct]
+    visits = atoms * sum(comb(dim, j) for j in range(1, min(k, dim) + 1))
+    if visits > MAX_VERIFY_VISITS:
+        raise ValueError(f"check too large: {visits} parity-sum visits to atoms > {MAX_VERIFY_VISITS}")
+    return check_kwise(CONSTRUCTIONS[args.construct](n), k).to_json()
 
 
 def _cmd_moment(args) -> dict:
@@ -218,38 +230,43 @@ def _cmd_estimate(args) -> dict:
     return {"spec": spec.to_json(), "p": _frac_str(Fraction(args.p)), **est.to_json()}
 
 
+def _table_cells(args) -> list[tuple[int, Fraction, int]]:
+    """The grid's (n, p, k) cells that are solved, those with 1 <= k <= n,
+    n first, then p, then k."""
+    return [(n, p, k) for n in args.n for p in args.p for k in args.k if 1 <= k <= n]
+
+
 def _cmd_table(args) -> list[dict]:
     prec = args.precision_bits
+    cells = _table_cells(args)
+    for n, p, k in cells:  # every cell is checked before any is solved
+        _validate(n, p, k, full=False)
     # the constant depends on p alone; lower endpoint, so that the emitted
     # number stays a valid baseline
     haagerup = {}
     rows = []
-    for n in args.n:
-        for p in args.p:
-            for k in args.k:
-                if not 1 <= k <= n:
-                    continue
-                sol = solve_reduced(n, p, k, prec=prec)
-                if p not in haagerup:
-                    haagerup[p] = haagerup_constant(p, prec).decimal_bounds(DIGITS)[0]
-                ratio = ratio_from_moment(sol.optimal_value, p, Fraction(n), prec)
-                ratio_lo, ratio_hi = ratio.decimal_bounds(DIGITS)
-                row = {
-                    "n": n,
-                    "p": _frac_str(p),
-                    "k": k,
-                    "value": _value_json(sol.optimal_value, prec),
-                    "ratio_lo": ratio_lo,
-                    "ratio_hi": ratio_hi,
-                    "sharp": None,
-                    "interpolation": None,
-                    "haagerup": haagerup[p],
-                }
-                if n % 2 == 0 and k in (2, 3) and p >= 2:
-                    row["sharp"] = sharp_pairwise_value(n, p, prec).decimal_bounds(DIGITS)[1]
-                if k % 2 == 0 and p >= k:
-                    row["interpolation"] = interpolation_bound(n, p, k, prec).decimal_bounds(DIGITS)[1]
-                rows.append(row)
+    for n, p, k in cells:
+        sol = solve_reduced(n, p, k, prec=prec)
+        if p not in haagerup:
+            haagerup[p] = haagerup_constant(p, prec).decimal_bounds(DIGITS)[0]
+        ratio = ratio_from_moment(sol.optimal_value, p, Fraction(n), prec)
+        ratio_lo, ratio_hi = ratio.decimal_bounds(DIGITS)
+        row = {
+            "n": n,
+            "p": _frac_str(p),
+            "k": k,
+            "value": _value_json(sol.optimal_value, prec),
+            "ratio_lo": ratio_lo,
+            "ratio_hi": ratio_hi,
+            "sharp": None,
+            "interpolation": None,
+            "haagerup": haagerup[p],
+        }
+        if n % 2 == 0 and k in (2, 3) and p >= 2:
+            row["sharp"] = sharp_pairwise_value(n, p, prec).decimal_bounds(DIGITS)[1]
+        if k % 2 == 0 and p >= k:
+            row["interpolation"] = interpolation_bound(n, p, k, prec).decimal_bounds(DIGITS)[1]
+        rows.append(row)
     return rows
 
 
@@ -350,7 +367,7 @@ def run(argv) -> int:
         if args.command == "table":
             if len(args.n) * len(args.p) * len(args.k) > MAX_TABLE_CELLS:
                 args.grid_error(f"the --n, --p and --k lists make more than {MAX_TABLE_CELLS} cells")
-            costs = [program_cost(n, p, k) for n in args.n for p in args.p for k in args.k if 1 <= k <= n]
+            costs = [program_cost(*cell) for cell in _table_cells(args)]
             if sum(rows * cols for rows, cols, _ in costs) > MAX_TABLE_ENTRIES:
                 args.grid_error(f"the --n, --p and --k lists make programs of more than "
                                 f"{MAX_TABLE_ENTRIES} entries in all")

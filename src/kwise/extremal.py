@@ -127,16 +127,18 @@ def reduced_lp(n: int, p, k: int, prec: int = DEFAULT_PREC) -> ReducedLp:
 
 
 def _reduced_objective(n: int, p: Fraction, prec: int) -> list:
-    return _powers([abs(2 * m - n) for m in range(n + 1)], p, prec)
+    return _powers([abs(2 * m - n) for m in range(n + 1)], 1, p, prec)
 
 
-def _powers(bases, p: Fraction, prec: int) -> list:
-    """b**p for each base b >= 0: exact for integer p, otherwise one
-    `rational_power` enclosure per distinct base."""
+def _powers(nums: list[int], den: int, p: Fraction, prec: int) -> list:
+    """(b / den)**p for each integer b >= 0, once per distinct b: exact for
+    integer p (an int when den is 1), otherwise a `rational_power` enclosure."""
     if p.denominator == 1:
-        return [b ** int(p) for b in bases]
-    memo = {b: rational_power(Fraction(b), p, prec) for b in dict.fromkeys(bases)}
-    return [memo[b] for b in bases]
+        power = lambda b: b ** p.numerator if den == 1 else Fraction(b, den) ** p.numerator
+    else:
+        power = lambda b: rational_power(Fraction(b, den), p, prec)
+    memo = {b: power(b) for b in dict.fromkeys(nums)}
+    return [memo[b] for b in nums]
 
 
 def program_cost(n: int, p, k: int, full: bool = False,
@@ -327,7 +329,8 @@ def _flip_program(n: int, k: int) -> tuple[list[list[int]], list[int], list[int]
 def _flip_solver(n: int, k: int) -> ExactSimplex:
     """The solver of `_flip_program(n, k)`, prepared, with the all-ones p = 4
     objective as its home, so that nearby objectives need few pivots."""
-    home = [(2 * x.bit_count() - n) ** 4 for x in range(1 << (n - 1), 1 << n)]
+    sums, _ = _signed_sums(Weights.all_ones(n))
+    home = _powers([abs(v) for v in sums[1 << (n - 1):]], 1, Fraction(4), DEFAULT_PREC)
     solver = ExactSimplex(*_flip_program(n, k), home=home)
     solver.prepare()
     return solver
@@ -411,7 +414,7 @@ def solve_full(
     half = 1 << (n - 1)
     flip = (1 << n) - 1
     sums, den = _signed_sums(a)
-    objective = _powers([Fraction(abs(v), den) for v in sums[half:]], pf, prec)
+    objective = _powers([abs(v) for v in sums[half:]], den, pf, prec)
     labels = full_constraint_labels(n, k)
     even = [t for t in labels if len(t) % 2 == 0]  # the flip program's rows, in order
     c, res, value = _solve(_flip_solver(n, k - k % 2), objective, partial(_atom_slack, n, even))

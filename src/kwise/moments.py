@@ -94,19 +94,17 @@ def pth_moment(space: SampleSpace, weights: Weights, p,
         raise ValueError(f"weight dimension {weights.n} != space dimension {space.n}")
     den, atoms = integer_masses(space)
     wden, w = weights.integer_form()
-    # |<a, x>| * wden for the sign vector x of each atom: the weights on its
-    # plus signs less those on its minus signs
+    # the mass on each distinct |<a, x>| * wden, the weights on the plus signs
+    # of x less those on its minus signs, so that each power is taken once
     wsum = sum(w)
-    dots = [abs(2 * _plus_sum(w, bits) - wsum) for bits, _ in atoms]
+    mass: dict[int, int] = {}
+    for bits, num in atoms:
+        dot = abs(2 * _plus_sum(w, bits) - wsum)
+        mass[dot] = mass.get(dot, 0) + num
     if p.denominator == 1:
         k = p.numerator
-        total = sum(num * dot**k for (_, num), dot in zip(atoms, dots))
-        value = Fraction(total, den * wden**k)
+        value = Fraction(sum(num * dot**k for dot, num in mass.items()), den * wden**k)
         return MomentResult(p, value, ratio_from_moment(value, p, weights.l2sq, prec))
-    # the mass on each distinct |<a, x>|, so that each root is taken once
-    mass: dict[int, int] = {}
-    for (_, num), dot in zip(atoms, dots):
-        mass[dot] = mass.get(dot, 0) + num
     terms = [(Fraction(num, den), Fraction(dot, wden)) for dot, num in mass.items()]
     work = prec
     while True:

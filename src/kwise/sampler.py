@@ -29,7 +29,7 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import sqrt
+from math import log2, sqrt
 from typing import Callable, Iterator, Optional
 
 from .core import MAX_DIMENSION, SignVector
@@ -296,7 +296,10 @@ def estimate_moment(
     Accumulation is Welford's one-pass algorithm in doubles.  a = None means
     all-ones weights, where a draw counts only through its Hamming weight:
     the partition kind then reads the weights from _partition_weights,
-    which skips the shuffle words, and the result is the same double."""
+    which skips the shuffle words, and the result is the same double.
+    Welford's squared deviations reach samples * M^(2p), M = max |<a, x>|
+    <= sum |a_i| (the dimension for a = None), so an exponent for which
+    that bound passes the largest double is refused before any draw."""
     if samples < 100:
         raise ValueError(f"need at least 100 samples, got {samples}")
     pf = Fraction(p)
@@ -307,8 +310,11 @@ def estimate_moment(
         raise ValueError(f"dimension {dim} exceeds {MAX_DIMENSION}")
     if a is not None and a.n != dim:
         raise ValueError(f"weights have dimension {a.n}, expected {dim}")
-    draws = iter(Stream(spec).draw_bits, -1)  # endless: no draw is -1
     pe = float(pf)
+    top = dim if a is None else sum(map(abs, a.a))
+    if log2(samples) + 2 * pe * (log2(top.numerator) - log2(top.denominator)) >= 1024:
+        raise ValueError(f"exponent {pf} too large: {samples} * ({top})^(2p) overflows a double")
+    draws = iter(Stream(spec).draw_bits, -1)  # endless: no draw is -1
     if a is None:
         table = [float(abs(2 * m - dim)) ** pe for m in range(dim + 1)]
         if spec.kind == "partition":

@@ -195,6 +195,85 @@ class TestInputBounds:
         assert "bits" in err
 
     @pytest.mark.parametrize(
+        "construct,n,k,admitted",
+        [
+            # 2^20 atoms times every coordinate set: about a day of parity sums
+            ("independent", 20, 20, False),
+            ("independent", 14, 14, False),  # 2.7e8 visits, 30 s
+            ("partition", 20, 3, False),
+            ("xor", 5, 10, False),
+            ("independent", 13, 13, True),  # 6.7e7 visits, 7 s
+            ("independent", 19, 2, True),  # 1.0e8 visits, 13 s
+            ("partition", 20, 2, True),
+        ],
+    )
+    def test_verify_over_the_visit_budget_fails_fast(self, capsys, monkeypatch, construct, n, k, admitted):
+        import kwise.cli as cli
+        from kwise.independence import IndependenceReport
+
+        def no_law(n):
+            raise AssertionError("a refused check must not build its law")
+
+        def no_check(space, k):
+            assert admitted, "a refused check must not run"
+            return IndependenceReport(k, k, None)
+
+        monkeypatch.setitem(cli.CONSTRUCTIONS, construct, lambda n: None if admitted else no_law(n))
+        monkeypatch.setattr(cli, "check_kwise", no_check)
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "verify", "--construct", construct, "--n", str(n), "--k", str(k))
+        assert time.perf_counter() - start < 1
+        if admitted:
+            assert (code, json.loads(out)) == (0, {"k_verified": k, "witness": None})
+        else:
+            assert (code, out) == (1, "")
+            assert "check too large" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # a finite mean with an infinite standard error before
+            ("--kind", "independent", "--n", "62", "--p", "170", "--samples", "100"),
+            # an OverflowError after the first draws before
+            ("--kind", "independent", "--n", "62", "--p", "172", "--samples", "100"),
+            ("--kind", "partition", "--n", "62", "--p", "86", "--samples", "100"),
+            ("--kind", "xor", "--n", "3", "--p", "201/2", "--a", "1000,1,1,1,1,1,1,1", "--samples", "100"),
+        ],
+    )
+    def test_estimate_overflowing_a_double_fails_before_any_draw(self, capsys, monkeypatch, argv):
+        import kwise.sampler as sampler
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a refused estimate must not draw")
+
+        for name in ("Stream", "_blocks"):
+            monkeypatch.setattr(sampler, name, no_draw)
+        code, out, err = invoke(capsys, "estimate", *argv)
+        assert (code, out) == (1, "")
+        assert f"exponent {argv[5]} too large" in err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            # the first cell took 7.3 s before the second was refused
+            (("--n", "6817,20000", "--p", "4", "--k", "10"), "dimension too large: 20000 > 10000"),
+            (("--n", "8,10", "--p", "4,1/2", "--k", "2"), "exponent must be at least 1"),
+        ],
+    )
+    def test_table_checks_every_cell_before_solving_any(self, capsys, monkeypatch, argv, message):
+        import kwise.cli as cli
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("no cell is solved when one is refused")
+
+        monkeypatch.setattr(cli, "solve_reduced", no_solve)
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "table", *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert message in err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("construct", "--construct", "partition", "--n", "4"),

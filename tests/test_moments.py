@@ -1,10 +1,13 @@
 """Exact moments of weighted sign sums and the normalized ratio."""
 from fractions import Fraction
+from math import comb
 
+import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import kwise.moments as moments
 from kwise.constructions import partition_space
 from kwise.core import SampleSpace, uniform_cube
 from kwise.intervals import DEFAULT_PREC, Interval, nth_root, rational_power
@@ -133,6 +136,47 @@ def test_fractional_moment_with_irrational_answer():
     # (2 * 1^1.5 + 2 * 3^1.5) / 4
     expected = (Interval.point(1) + nth_root(Fraction(27), 2, 96)) * Fraction(1, 2)
     assert result.value.lo <= expected.hi and expected.lo <= result.value.hi
+
+
+@pytest.mark.parametrize("law", [uniform_cube, partition_space])
+def test_large_integer_order_is_the_weight_class_sum(law):
+    """At p = 4095 on 2^16 atoms, each distinct |<a, x>| is powered once;
+    the value is the exact sum over the Hamming weight classes."""
+    n, p = 16, 4095
+    space = law(n)
+    cls = {}
+    for bits, prob in space.masses.items():
+        m = bits.bit_count()
+        cls[m] = cls.get(m, 0) + prob
+    assert len(cls) == (n + 1 if law is uniform_cube else 3)
+    if law is uniform_cube:
+        assert all(cls[m] == Fraction(comb(n, m), 1 << n) for m in range(n + 1))
+    want = sum((q * abs(2 * m - n) ** p for m, q in cls.items()), Fraction(0))
+    assert pth_moment(space, Weights.all_ones(n), p).value == want
+
+
+def test_fractional_moment_retries_at_doubled_precision(monkeypatch):
+    """Weights near 1e-30 at p = 7/2 give a moment near 1e-105, whose first
+    enclosure is too wide; the retry doubles the working precision until the
+    relative width is below 2**-REL_TOL_BITS."""
+    precs = []
+
+    def spy(x, e, prec, _real=rational_power):
+        precs.append(prec)
+        return _real(x, e, prec)
+
+    monkeypatch.setattr(moments, "rational_power", spy)
+    a = Weights.from_strings(["1e-30", "2e-30", "3e-30"])
+    p = Fraction(7, 2)
+    value = pth_moment(uniform_cube(3), a, p).value
+    assert precs[0] == DEFAULT_PREC and max(precs) > DEFAULT_PREC
+    assert 0 < value.width * (1 << REL_TOL_BITS) <= value.hi
+    with mpmath.workdps(80):
+        def mpf(q):
+            return mpmath.mpf(q.numerator) / q.denominator
+
+        want = sum(abs(mpf(dot_bits(a, bits))) ** mpf(p) for bits in range(8)) / 8
+        assert mpf(value.lo) <= want <= mpf(value.hi)
 
 
 def test_even_moment_independent_closed_forms():

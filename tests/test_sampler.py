@@ -288,6 +288,21 @@ class TestEstimateMoment:
         with pytest.raises(ValueError, match="exceeds"):
             estimate_moment(StreamSpec("xor", 8), None, 4, 1_000)
 
+    def test_exponent_whose_squares_overflow_a_double(self):
+        # samples * M^(2p) against 2^1024: at M = 62 and 100 samples the last
+        # admitted exponent is 85 (6.6 + 170 * 5.95 bits), for weights
+        # M = sum |a_i|, and a Fraction M counts its denominator
+        spec = StreamSpec("independent", 62)
+        est = estimate_moment(spec, None, 85, 100)
+        assert est.std_error < float("inf")
+        for a, p in ((None, 86), (None, 172), (Weights((Fraction(62),) + (Fraction(0),) * 61), 86)):
+            with pytest.raises(ValueError, match=f"exponent {p} too large"):
+                estimate_moment(spec, a, p, 100)
+        small = Weights((Fraction(1, 2**40),) * 62)
+        assert estimate_moment(spec, small, 4095, 100).mean == 0.0
+        with pytest.raises(ValueError, match="exponent 5/2 too large"):
+            estimate_moment(spec, Weights((Fraction(2**300),) + (Fraction(1),) * 61), Fraction(5, 2), 100)
+
     def test_json_roundtrip_precision(self):
         est = McEstimate(216.03125, 1.25, 1_000)
         data = est.to_json()
