@@ -17,13 +17,13 @@ import os
 import sys
 from fractions import Fraction
 from functools import cache
-from math import comb
 
 from .bounds import haagerup_constant, interpolation_bound, sharp_pairwise_value
-from .constructions import independent_space, partition_space, xor_space
+from .constructions import (independent_shape, independent_space, partition_shape, partition_space,
+                           xor_shape, xor_space)
 from .core import DIGITS, MAX_ENUMERATION, _frac_str, _value_json, sign_string
 from .extremal import MAX_REDUCED_BITS, _validate, program_cost, solve_full, solve_reduced
-from .independence import check_kwise
+from .independence import check_kwise, parity_visits
 from .intervals import DEFAULT_PREC
 from .moments import Weights, pth_moment, ratio_from_moment
 from .sampler import Stream, StreamSpec, estimate_moment
@@ -54,6 +54,12 @@ CONSTRUCTIONS = {
     "partition": partition_space,
     "xor": xor_space,
     "independent": independent_space,
+}
+# each law's (dimension, support size), after its builder's input checks
+SHAPES = {
+    "partition": partition_shape,
+    "xor": xor_shape,
+    "independent": independent_shape,
 }
 
 
@@ -139,14 +145,10 @@ def _cmd_construct(args) -> dict:
 
 
 def _cmd_verify(args) -> dict:
-    n, k = args.n, args.k
-    # (dimension, support size) of the law, known before it is built
-    dim, atoms = {"partition": (n, comb(n, n // 2) + 2), "xor": (1 << n, 1 << (n + 1)),
-                  "independent": (n, 1 << n)}[args.construct]
-    visits = atoms * sum(comb(dim, j) for j in range(1, min(k, dim) + 1))
-    if visits > MAX_VERIFY_VISITS:
-        raise ValueError(f"check too large: {visits} parity-sum visits to atoms > {MAX_VERIFY_VISITS}")
-    return check_kwise(CONSTRUCTIONS[args.construct](n), k).to_json()
+    dim, atoms = SHAPES[args.construct](args.n)
+    if parity_visits(dim, atoms, args.k, MAX_VERIFY_VISITS) > MAX_VERIFY_VISITS:
+        raise ValueError(f"check too large: more than {MAX_VERIFY_VISITS} parity-sum visits to atoms")
+    return check_kwise(CONSTRUCTIONS[args.construct](args.n), args.k).to_json()
 
 
 def _cmd_moment(args) -> dict:

@@ -2,18 +2,30 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .core import MAX_DIMENSION, MAX_ENUMERATION, SampleSpace, WeightProfile, expand, uniform_cube
+
+
+# Each law's shape function runs its builder's input checks and returns the
+# law's (dimension, support size) without building it, so that work on the
+# law can be bounded first; the builder calls it for those checks.
+
+
+def partition_shape(n: int) -> tuple[int, int]:
+    """The two unanimous vectors and the C(n, n/2) balanced ones."""
+    if n < 2 or n % 2:
+        raise ValueError(f"partition law needs an even dimension >= 2, got {n}")
+    if n > MAX_ENUMERATION:
+        raise ValueError(f"dimension capped at {MAX_ENUMERATION}, got {n}")
+    return n, comb(n, n // 2) + 2
 
 
 def partition_space(n: int) -> SampleSpace:
     """Pairwise (in fact 3-wise) independent, exchangeable law on {-1,+1}^n
     for even n: mass 1/(2n) on each unanimous vector and the rest spread
     uniformly over the vectors with exactly n/2 plus signs."""
-    if n < 2 or n % 2:
-        raise ValueError(f"partition law needs an even dimension >= 2, got {n}")
-    if n > MAX_ENUMERATION:
-        raise ValueError(f"dimension capped at {MAX_ENUMERATION}, got {n}")
+    partition_shape(n)
     q = [Fraction(0)] * (n + 1)
     q[0] = q[n] = Fraction(1, 2 * n)
     q[n // 2] = Fraction(n - 1, n)
@@ -41,16 +53,21 @@ def xor_pattern(n: int, seed_sign: int, seed_mask: int) -> int:
     return even if seed_sign == 1 else even ^ ((1 << width) - 1)
 
 
+def xor_shape(n: int) -> tuple[int, int]:
+    """2^n coordinates and 2^(n+1) atoms, one per seed pattern."""
+    if n < 1:
+        raise ValueError(f"need at least one base seed, got n={n}")
+    if 1 << n > MAX_DIMENSION:
+        raise ValueError(f"2^{n} coordinates exceed the dimension cap {MAX_DIMENSION}")
+    return 1 << n, 1 << (n + 1)
+
+
 def xor_space(n: int) -> SampleSpace:
     """Pairwise independent law on {-1,+1}^(2^n) built from n+1 fair seeds:
     coordinate j carries the product of the seeds in bit mask j, all times a
     shared global sign.  2^(n+1) equiprobable atoms; not exchangeable for
     n >= 3."""
-    if n < 1:
-        raise ValueError(f"need at least one base seed, got n={n}")
-    dim = 1 << n
-    if dim > MAX_DIMENSION:
-        raise ValueError(f"2^{n} coordinates exceed the dimension cap {MAX_DIMENSION}")
+    dim, _ = xor_shape(n)
     share = Fraction(1, 1 << (n + 1))
     atoms = [(xor_pattern(n, 1 - 2 * (seeds & 1), seeds >> 1), share)
              for seeds in range(1 << (n + 1))]
@@ -98,6 +115,14 @@ def xor_pairwise_table(n: int) -> dict[tuple[int, int], Fraction]:
     return out
 
 
+def independent_shape(n: int) -> tuple[int, int]:
+    """Every one of the 2^n sign vectors."""
+    if not 1 <= n <= MAX_ENUMERATION:
+        raise ValueError(f"explicit uniform law needs a dimension in [1, {MAX_ENUMERATION}], got {n}")
+    return n, 1 << n
+
+
 def independent_space(n: int) -> SampleSpace:
     """The fully independent uniform law, as an explicit sample space."""
+    independent_shape(n)
     return uniform_cube(n)

@@ -127,18 +127,18 @@ def reduced_lp(n: int, p, k: int, prec: int = DEFAULT_PREC) -> ReducedLp:
 
 
 def _reduced_objective(n: int, p: Fraction, prec: int) -> list:
-    return _powers([abs(2 * m - n) for m in range(n + 1)], 1, p, prec)
+    return _powers([2 * m - n for m in range(n + 1)], 1, p, prec)
 
 
 def _powers(nums: list[int], den: int, p: Fraction, prec: int) -> list:
-    """(b / den)**p for each integer b >= 0, once per distinct b: exact for
+    """|b / den|**p for each integer b, once per distinct |b|: exact for
     integer p (an int when den is 1), otherwise a `rational_power` enclosure."""
     if p.denominator == 1:
         power = lambda b: b ** p.numerator if den == 1 else Fraction(b, den) ** p.numerator
     else:
         power = lambda b: rational_power(Fraction(b, den), p, prec)
-    memo = {b: power(b) for b in dict.fromkeys(nums)}
-    return [memo[b] for b in nums]
+    memo = {b: power(b) for b in dict.fromkeys(map(abs, nums))}
+    return [memo[abs(b)] for b in nums]
 
 
 def program_cost(n: int, p, k: int, full: bool = False,
@@ -329,8 +329,7 @@ def _flip_program(n: int, k: int) -> tuple[list[list[int]], list[int], list[int]
 def _flip_solver(n: int, k: int) -> ExactSimplex:
     """The solver of `_flip_program(n, k)`, prepared, with the all-ones p = 4
     objective as its home, so that nearby objectives need few pivots."""
-    sums, _ = _signed_sums(Weights.all_ones(n))
-    home = _powers([abs(v) for v in sums[1 << (n - 1):]], 1, Fraction(4), DEFAULT_PREC)
+    home = _powers(_signed_sums(Weights.all_ones(n))[0][1 << (n - 1):], 1, Fraction(4), DEFAULT_PREC)
     solver = ExactSimplex(*_flip_program(n, k), home=home)
     solver.prepare()
     return solver
@@ -414,7 +413,7 @@ def solve_full(
     half = 1 << (n - 1)
     flip = (1 << n) - 1
     sums, den = _signed_sums(a)
-    objective = _powers([abs(v) for v in sums[half:]], den, pf, prec)
+    objective = _powers(sums[half:], den, pf, prec)
     labels = full_constraint_labels(n, k)
     even = [t for t in labels if len(t) % 2 == 0]  # the flip program's rows, in order
     c, res, value = _solve(_flip_solver(n, k - k % 2), objective, partial(_atom_slack, n, even))

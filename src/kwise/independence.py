@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from typing import Iterable, Optional
 
 from .core import SampleSpace, _frac_str, integer_masses, project_marginal, subset_mask
@@ -72,10 +73,27 @@ def fourier_coefficient(space: SampleSpace, coords: Iterable[int]) -> Fraction:
     return Fraction(_parity_sum(den, atoms, mask), den)
 
 
+def _check_level(n: int, k: int) -> None:
+    if not 1 <= k <= n:
+        raise ValueError(f"independence level must be in [1, {n}], got {k}")
+
+
+def parity_visits(n: int, atoms: int, k: int, cap: int) -> int:
+    """The atom visits of `check_kwise` at level k on a law of `atoms` atoms
+    in dimension n that passes, or the first partial count over cap: one per
+    atom and coordinate set of size 1..k.  A law that fails stops earlier."""
+    _check_level(n, k)
+    visits = 0
+    for size in range(1, k + 1):
+        visits += atoms * comb(n, size)
+        if visits > cap:
+            break
+    return visits
+
+
 def check_kwise(space: SampleSpace, k: int) -> IndependenceReport:
     """Parity route: every coordinate set of size 1..k must average to 0."""
-    if not 1 <= k <= space.n:
-        raise ValueError(f"independence level must be in [1, {space.n}], got {k}")
+    _check_level(space.n, k)
     den, atoms = integer_masses(space)
     for size in range(1, k + 1):
         for coords in combinations(range(space.n), size):
@@ -88,8 +106,7 @@ def check_kwise(space: SampleSpace, k: int) -> IndependenceReport:
 def check_kwise_marginal(space: SampleSpace, k: int) -> IndependenceReport:
     """Marginal route: every projection onto 1..k coordinates must be the
     uniform law on the corresponding sign cube."""
-    if not 1 <= k <= space.n:
-        raise ValueError(f"independence level must be in [1, {space.n}], got {k}")
+    _check_level(space.n, k)
     for size in range(1, k + 1):
         share = Fraction(1, 1 << size)
         for coords in combinations(range(space.n), size):

@@ -230,6 +230,31 @@ class TestInputBounds:
             assert "check too large" in err
 
     @pytest.mark.parametrize(
+        "construct,n,k,message",
+        [
+            # 10^6 sums of comb(2^20, j) before the cause was reported
+            ("xor", "20", "1000000", "2^20 coordinates exceed the dimension cap 63"),
+            ("xor", "7", "3", "2^7 coordinates exceed the dimension cap 63"),
+            ("partition", "19", "4", "partition law needs an even dimension >= 2, got 19"),
+            ("xor", "5", "1000000", "independence level must be in [1, 32], got 1000000"),
+            ("independent", "20", "0", "independence level must be in [1, 20], got 0"),
+            ("independent", "20", "-3", "independence level must be in [1, 20], got -3"),
+        ],
+    )
+    def test_verify_reports_an_invalid_law_before_counting(self, capsys, monkeypatch, construct, n, k, message):
+        import kwise.cli as cli
+
+        def no_law(n):
+            raise AssertionError("an invalid check must not build its law")
+
+        monkeypatch.setitem(cli.CONSTRUCTIONS, construct, no_law)
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "verify", "--construct", construct, "--n", n, "--k", k)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert message in err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             # a finite mean with an infinite standard error before

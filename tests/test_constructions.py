@@ -7,11 +7,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kwise.constructions import (
+    independent_shape,
     independent_space,
+    partition_shape,
     partition_space,
     xor_pairwise_table,
     xor_pattern,
     xor_seed_coefficient,
+    xor_shape,
     xor_sign,
     xor_space,
 )
@@ -119,3 +122,25 @@ def test_sign_vector_layout_matches_construction():
     space = partition_space(2)
     assert space.probability(SignVector.from_string("++")) == Fraction(1, 4)
     assert space.probability(SignVector.from_string("+-")) == Fraction(1, 4)
+
+
+LAWS = [(partition_shape, partition_space), (xor_shape, xor_space), (independent_shape, independent_space)]
+
+
+@pytest.mark.parametrize("shape,build", LAWS)
+@pytest.mark.parametrize("n", [2, 4, 5])
+def test_shape_is_the_built_laws(shape, build, n):
+    if shape is partition_shape and n % 2:
+        n += 1
+    space = build(n)
+    assert shape(n) == (space.n, space.support_size)
+
+
+@pytest.mark.parametrize("shape,build", LAWS)
+@pytest.mark.parametrize("n", [-1, 0, 21])
+def test_shape_refuses_what_the_builder_refuses(shape, build, n):
+    with pytest.raises(ValueError) as refused:
+        shape(n)
+    with pytest.raises(ValueError) as built:
+        build(n)
+    assert str(refused.value) == str(built.value)

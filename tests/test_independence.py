@@ -13,6 +13,7 @@ from kwise.independence import (
     check_kwise,
     check_kwise_marginal,
     fourier_coefficient,
+    parity_visits,
 )
 
 
@@ -195,3 +196,26 @@ def test_kwise_iff_all_small_parities_vanish():
             for T in combinations(range(space.n), size)
         )
         assert check_kwise(space, k).passed == expected
+
+
+@pytest.mark.parametrize("space,k", [(uniform_cube(5), 5), (partition_space(6), 3), (xor_space(2), 2)])
+def test_parity_visits_counts_a_passing_check(monkeypatch, space, k):
+    import kwise.independence as independence
+
+    visits = []
+
+    def counted(den, atoms, mask, _real=independence._parity_sum):
+        visits.append(len(atoms))
+        return _real(den, atoms, mask)
+
+    monkeypatch.setattr(independence, "_parity_sum", counted)
+    assert check_kwise(space, k).passed
+    assert parity_visits(space.n, space.support_size, k, 1 << 60) == sum(visits)
+
+
+def test_parity_visits_stops_past_the_cap():
+    # sizes 1, 2, 3 of 20 coordinates over 2^20 atoms: 20, 190, 1140 sets
+    assert parity_visits(20, 1 << 20, 20, 200 << 20) == 210 << 20
+    assert parity_visits(20, 1 << 20, 3, 1 << 60) == 1350 << 20
+    with pytest.raises(ValueError, match="got 21"):
+        parity_visits(20, 1 << 20, 21, 1 << 60)
