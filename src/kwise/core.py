@@ -19,7 +19,7 @@ Rational = Fraction
 
 # Sign vectors live in a machine word; explicit-support expansion is capped
 # separately because 2^n atoms get large much sooner than n does: the
-# uniform law at n = 20 peaks at about 0.5 GB (about 0.5 KB per atom).
+# uniform law at n = 20 peaks at about 175 MB, its JSON rendering at 0.5 GB.
 MAX_DIMENSION = 63
 MAX_ENUMERATION = 20
 
@@ -119,11 +119,12 @@ def _as_fraction(x) -> Fraction:
 class SampleSpace:
     """A finitely supported law on {-1,+1}^n with exact rational masses.
 
-    ``masses`` maps bit masks to probabilities; only strictly positive masses
-    are stored and they must sum to exactly 1.
+    ``numerators`` maps bit masks, in bit-mask order, to positive integers
+    that sum to exactly ``den``, the masses' least common denominator: an
+    atom's mass is its numerator / den.  ``masses`` gives them as Fractions.
     """
 
-    __slots__ = ("n", "masses")
+    __slots__ = ("n", "den", "numerators")
 
     def __init__(self, n: int, atoms: Mapping | Iterable):
         if not 1 <= n <= MAX_DIMENSION:
@@ -140,43 +141,51 @@ class SampleSpace:
                 if bits < 0 or bits >> n:
                     raise ValueError(f"bit mask {bits:#x} does not fit dimension {n}")
             p = _as_fraction(prob)
-            if p <= 0:
+            if p.numerator <= 0:
                 raise ValueError(f"atom probabilities must be positive, got {p}")
             if bits in table:
                 raise ValueError(f"duplicate atom {bits:#x}")
             table[bits] = p
-        if sum(table.values()) != 1:
+        den = lcm(*{p.denominator for p in table.values()})
+        # sorting the keys, not the items, makes no tuple per atom
+        numerators = {bits: table[bits].numerator * (den // table[bits].denominator)
+                      for bits in sorted(table)}
+        if sum(numerators.values()) != den:
             raise ValueError("atom probabilities must sum to exactly 1")
-        self.n = n
-        self.masses = dict(sorted(table.items()))
+        self.n, self.den, self.numerators = n, den, numerators
+
+    @property
+    def masses(self) -> dict[int, Fraction]:
+        """Bit mask to probability, in bit-mask order, built when read."""
+        return {bits: Fraction(num, self.den) for bits, num in self.numerators.items()}
 
     def probability(self, atom) -> Fraction:
         bits = atom.bits if isinstance(atom, SignVector) else int(atom)
-        return self.masses.get(bits, Fraction(0))
+        return Fraction(self.numerators.get(bits, 0), self.den)
 
     def items(self) -> Iterator[tuple[SignVector, Fraction]]:
-        for bits, p in self.masses.items():
-            yield SignVector(self.n, bits), p
+        for bits, num in self.numerators.items():
+            yield SignVector(self.n, bits), Fraction(num, self.den)
 
     @property
     def support_size(self) -> int:
-        return len(self.masses)
+        return len(self.numerators)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SampleSpace):
             return NotImplemented
-        return self.n == other.n and self.masses == other.masses
+        return (self.n, self.den, self.numerators) == (other.n, other.den, other.numerators)
 
     def __hash__(self):
-        return hash((self.n, tuple(self.masses.items())))
+        return hash((self.n, self.den, tuple(self.numerators.items())))
 
     def __repr__(self) -> str:
         return f"SampleSpace(n={self.n}, atoms={self.support_size})"
 
     def to_json(self) -> dict:
         atoms = [
-            {"signs": sign_string(self.n, bits), "prob": _frac_str(p)}
-            for bits, p in self.masses.items()
+            {"signs": sign_string(self.n, bits), "prob": _frac_str(Fraction(num, self.den))}
+            for bits, num in self.numerators.items()
         ]
         return {"n": self.n, "atoms": atoms}
 
@@ -217,15 +226,6 @@ class WeightProfile:
     @classmethod
     def from_json(cls, data: dict) -> "WeightProfile":
         return cls(data["n"], tuple(Fraction(s) for s in data["q"]))
-
-
-def integer_masses(space: SampleSpace) -> tuple[int, list[tuple[int, int]]]:
-    """The law's masses over their common denominator: returns (den, atoms)
-    with atoms [(bits, numerator), ...] in bit-mask order, so that the mass
-    of bits is numerator / den and the numerators sum to den."""
-    den = lcm(*(p.denominator for p in space.masses.values()))
-    return den, [(bits, p.numerator * (den // p.denominator))
-                 for bits, p in space.masses.items()]
 
 
 def _int_str(v: int) -> str:
@@ -269,10 +269,10 @@ def expand(profile: WeightProfile) -> SampleSpace:
 def symmetrize(space: SampleSpace) -> WeightProfile:
     """Collapse a law to its weight-class masses (the orbit sums under
     coordinate permutations)."""
-    q = [Fraction(0)] * (space.n + 1)
-    for bits, p in space.masses.items():
-        q[bits.bit_count()] += p
-    return WeightProfile(space.n, tuple(q))
+    q = [0] * (space.n + 1)
+    for bits, num in space.numerators.items():
+        q[bits.bit_count()] += num
+    return WeightProfile(space.n, tuple(Fraction(v, space.den) for v in q))
 
 
 def project_marginal(space: SampleSpace, coords: Sequence[int]) -> SampleSpace:
@@ -285,14 +285,14 @@ def project_marginal(space: SampleSpace, coords: Sequence[int]) -> SampleSpace:
         raise ValueError(f"coordinate out of range for dimension {space.n}: {coords}")
     if any(a >= b for a, b in zip(coords, coords[1:])):
         raise ValueError(f"coordinates must be strictly increasing: {coords}")
-    table: dict[int, Fraction] = {}
-    for bits, p in space.masses.items():
+    table: dict[int, int] = {}
+    for bits, num in space.numerators.items():
         sub = 0
         for idx, i in enumerate(coords):
             if (bits >> i) & 1:
                 sub |= 1 << idx
-        table[sub] = table.get(sub, Fraction(0)) + p
-    return SampleSpace(len(coords), table.items())
+        table[sub] = table.get(sub, 0) + num
+    return SampleSpace(len(coords), ((sub, Fraction(num, space.den)) for sub, num in table.items()))
 
 
 def uniform_cube(n: int) -> SampleSpace:

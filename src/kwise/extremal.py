@@ -41,7 +41,7 @@ MAX_FULL_ENTRIES = 140_000
 # At (6817, 10) the reduced solve keeps its 178 pivots at every large p, but
 # its time grows with the bits, faster at odd p: 15 s at p = 3500 and 37 s
 # at p = 3501 (3.1e8 bits), 42 s at p = 4095 (3.6e8).  The bound admits p
-# up to 3028 there; p = 3027 took 29 s.  The flip program's time follows
+# up to 3028 there; p = 3027 took 28-39 s.  The flip program's time follows
 # its pivots more than its bits (31.5 s at (10, 4) and 35 s at (12, 2) at
 # p = 4095, all-ones), but weights of 61 bits made 3.4e7 bits take 43-48 s;
 # at its bound, (12, 2) at p = 1023 took 32 s.
@@ -270,12 +270,12 @@ def solve_reduced(
     """Maximize E|sum of signs|^p over exchangeable k-wise independent laws.
 
     All-ones weights; the optimum over weight profiles q_0..q_n.  Exact for
-    integer p.  With `check_unique` the optimal face is probed and `unique`
-    is filled in (integer p only).  Each call solves a fresh program of k+1
-    rows, so the optimizer, dual and `unique` do not depend on anything the
-    process solved before."""
+    integer p.  With `check_unique` the face of the certified optimum is
+    probed and `unique` filled in (integer p only).  Each call solves a
+    fresh program of k+1 rows, so the optimizer, dual and `unique` do not
+    depend on anything the process solved before."""
     program = reduced_lp(n, p, k, prec)
-    check = _krawtchouk_rows(n, k)
+    check, rhs = _krawtchouk_rows(n, k), [1] + [0] * k
     c, res, value = _solve(ExactSimplex(program.rows, program.rhs), program.objective,
                            partial(reduced_costs, check))
     sol = LpSolution(
@@ -286,12 +286,12 @@ def solve_reduced(
         optimal_value=value,
         optimizer=WeightProfile(n, res.x),
         dual=res.y,
-        certificate_ok=verify_certificate(check, [1] + [0] * k, c, res.x, res.y),
+        certificate_ok=verify_certificate(check, rhs, c, res.x, res.y),
         note=ODD_DIMENSION_NOTE if n % 2 else None,
         prec=prec,
     )
     if check_unique and isinstance(value, Fraction):
-        sol = replace(sol, unique=uniqueness_check(sol))
+        sol = replace(sol, unique=_face_lp(check, rhs, program.objective, res.x, res.y, sol.certificate_ok))
     return sol
 
 
@@ -454,9 +454,14 @@ def uniqueness_check(solution: LpSolution) -> bool:
     c = _reduced_objective(n, _validate(n, solution.p, k, full=False), DEFAULT_PREC)
     rows, rhs = _krawtchouk_rows(n, k), [1] + [0] * k
     q = solution.optimizer.q
-    if not verify_certificate(rows, rhs, c, q, solution.dual):
+    return _face_lp(rows, rhs, c, q, solution.dual, verify_certificate(rows, rhs, c, q, solution.dual))
+
+
+def _face_lp(rows, rhs, c, q, dual, certified: bool) -> bool:
+    """The face LP of `uniqueness_check`, on an optimizer q that `dual` has `certified`."""
+    if not certified:
         raise ValueError("solution is not a certified optimum of the stated program")
-    slack, _ = reduced_costs(rows, solution.dual, c)
+    slack, _ = reduced_costs(rows, dual, c)
     face = [j for j, s in enumerate(slack) if s == 0]
     solver = ExactSimplex([[row[j] for j in face] for row in rows], rhs,
                           start=[t for t, j in enumerate(face) if q[j]])
@@ -506,12 +511,10 @@ def equality_support_check(space: SampleSpace, a: Weights, p) -> EqualityReport:
     if len({abs(v) for v in a.a}) != 1:
         return EqualityReport(False, "unequal_magnitudes")
     smask = subset_mask(i for i, v in enumerate(a.a) if v > 0)
-    full = (1 << n) - 1
-    for bits in space.masses:
+    for bits in space.numerators:
         agree = n - (bits ^ smask).bit_count()
         if agree != n and agree != 0 and 2 * agree != n:
             return EqualityReport(False, "mixed_support_atom", SignVector(n, bits))
-    share = Fraction(1, 2 * n)
-    if space.masses.get(smask) != share or space.masses.get(full ^ smask) != share:
+    if any(2 * n * space.numerators.get(x, 0) != space.den for x in (smask, smask ^ ((1 << n) - 1))):
         return EqualityReport(False, "unanimous_mass_mismatch")
     return EqualityReport(True, "ok")

@@ -5,8 +5,8 @@ Fourier coefficients E[prod_{i in T} x_i] directly, the marginal route
 compares every small projection against the uniform product law.  Tests hold
 them against each other.
 
-The parity route works on integers: the masses are put over their common
-denominator D once per call, each coefficient is a signed sum of integer
+The parity route works on integers: a law holds its masses as integer
+numerators over one denominator D, each coefficient is a signed sum of those
 numerators, and a Fraction is built only for a nonzero coefficient that is
 returned.
 """
@@ -18,7 +18,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Optional
 
-from .core import SampleSpace, _frac_str, integer_masses, project_marginal, subset_mask
+from .core import SampleSpace, _frac_str, project_marginal, subset_mask
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,7 +45,7 @@ class IndependenceReport:
         return {"k_verified": self.k_verified, "witness": wit}
 
 
-def _parity_sum(den: int, atoms: list[tuple[int, int]], mask: int) -> int:
+def _parity_sum(den: int, atoms: Iterable[tuple[int, int]], mask: int) -> int:
     """den * E[prod_{i in mask} x_i] for atoms (bits, numerator) over den.
 
     An atom's product is -1 when mask holds an odd number of its minus
@@ -69,8 +69,7 @@ def fourier_coefficient(space: SampleSpace, coords: Iterable[int]) -> Fraction:
         if (mask >> i) & 1:
             raise ValueError(f"repeated coordinate {i}")
         mask |= 1 << i
-    den, atoms = integer_masses(space)
-    return Fraction(_parity_sum(den, atoms, mask), den)
+    return Fraction(_parity_sum(space.den, space.numerators.items(), mask), space.den)
 
 
 def _check_level(n: int, k: int) -> None:
@@ -94,7 +93,7 @@ def parity_visits(n: int, atoms: int, k: int, cap: int) -> int:
 def check_kwise(space: SampleSpace, k: int) -> IndependenceReport:
     """Parity route: every coordinate set of size 1..k must average to 0."""
     _check_level(space.n, k)
-    den, atoms = integer_masses(space)
+    den, atoms = space.den, space.numerators.items()
     for size in range(1, k + 1):
         for coords in combinations(range(space.n), size):
             total = _parity_sum(den, atoms, subset_mask(coords))
@@ -108,12 +107,10 @@ def check_kwise_marginal(space: SampleSpace, k: int) -> IndependenceReport:
     uniform law on the corresponding sign cube."""
     _check_level(space.n, k)
     for size in range(1, k + 1):
-        share = Fraction(1, 1 << size)
         for coords in combinations(range(space.n), size):
             marg = project_marginal(space, coords)
-            if marg.support_size == 1 << size and all(
-                p == share for p in marg.masses.values()
-            ):
+            # 2^size positive numerators summing to den = 2^size are all 1
+            if marg.support_size == marg.den == 1 << size:
                 continue
             witness = _marginal_witness(space, coords)
             return IndependenceReport(k, size - 1, witness)
@@ -122,7 +119,7 @@ def check_kwise_marginal(space: SampleSpace, k: int) -> IndependenceReport:
 
 def _marginal_witness(space, coords):
     # a non-uniform marginal forces some nonzero parity inside it
-    den, atoms = integer_masses(space)
+    den, atoms = space.den, space.numerators.items()
     for size in range(1, len(coords) + 1):
         for sub in combinations(coords, size):
             total = _parity_sum(den, atoms, subset_mask(sub))
@@ -134,11 +131,11 @@ def _marginal_witness(space, coords):
 def check_exchangeable(space: SampleSpace) -> bool:
     """True iff the law is invariant under coordinate permutations, tested on
     the adjacent transpositions that generate them all."""
-    masses = space.masses
+    nums = space.numerators
     for i in range(space.n - 1):
         lo, hi = 1 << i, 1 << (i + 1)
-        for bits, p in masses.items():
+        for bits, num in nums.items():
             if bool(bits & lo) != bool(bits & hi):
-                if masses.get(bits ^ lo ^ hi) != p:
+                if nums.get(bits ^ lo ^ hi) != num:
                     return False
     return True

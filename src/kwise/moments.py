@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import factorial, lcm
 from typing import Sequence, Union
 
-from .core import SampleSpace, integer_masses
+from .core import SampleSpace
 from .intervals import DEFAULT_PREC, Interval, rational_power
 
 Value = Union[Fraction, Interval]
@@ -92,20 +92,19 @@ def pth_moment(space: SampleSpace, weights: Weights, p,
     p = _check_p(p)
     if weights.n != space.n:
         raise ValueError(f"weight dimension {weights.n} != space dimension {space.n}")
-    den, atoms = integer_masses(space)
     wden, w = weights.integer_form()
     # the mass on each distinct |<a, x>| * wden, the weights on the plus signs
     # of x less those on its minus signs, so that each power is taken once
     wsum = sum(w)
     mass: dict[int, int] = {}
-    for bits, num in atoms:
+    for bits, num in space.numerators.items():
         dot = abs(2 * _plus_sum(w, bits) - wsum)
         mass[dot] = mass.get(dot, 0) + num
     if p.denominator == 1:
         k = p.numerator
-        value = Fraction(sum(num * dot**k for dot, num in mass.items()), den * wden**k)
+        value = Fraction(sum(num * dot**k for dot, num in mass.items()), space.den * wden**k)
         return MomentResult(p, value, ratio_from_moment(value, p, weights.l2sq, prec))
-    terms = [(Fraction(num, den), Fraction(dot, wden)) for dot, num in mass.items()]
+    terms = [(Fraction(num, space.den), Fraction(dot, wden)) for dot, num in mass.items()]
     work = prec
     while True:
         value = Interval.point(0)

@@ -1,4 +1,6 @@
 """Sign vectors, sample spaces, and exchangeable weight profiles."""
+import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -12,13 +14,14 @@ from kwise.core import (
     WeightProfile,
     _frac_str,
     expand,
-    integer_masses,
     project_marginal,
     subset_mask,
     symmetrize,
     uniform_cube,
     walsh_hadamard,
 )
+from kwise.independence import check_kwise
+from kwise.moments import Weights, pth_moment
 
 
 def test_sign_vector_roundtrip():
@@ -75,8 +78,35 @@ def test_sample_space_json_roundtrip():
 
 def test_integer_masses_share_one_denominator():
     space = SampleSpace(2, [(0b00, Fraction(1, 6)), (0b01, Fraction(1, 4)), (0b11, Fraction(7, 12))])
-    assert integer_masses(space) == (12, [(0b00, 2), (0b01, 3), (0b11, 7)])
-    assert integer_masses(uniform_cube(2)) == (4, [(0, 1), (1, 1), (2, 1), (3, 1)])
+    assert (space.den, list(space.numerators.items())) == (12, [(0b00, 2), (0b01, 3), (0b11, 7)])
+    cube = uniform_cube(2)
+    assert (cube.den, list(cube.numerators.items())) == (4, [(0, 1), (1, 1), (2, 1), (3, 1)])
+
+
+def test_equal_laws_from_any_spelling():
+    spellings = [
+        SampleSpace(2, [(0b11, "2/4"), (0b00, "1/2")]),
+        SampleSpace(2, {0b00: Fraction(1, 2), 0b11: Fraction(1, 2)}),
+        SampleSpace(2, [(SignVector(2, 0b00), 1 - Fraction(1, 2)), (SignVector.from_string("++"), "1/2")]),
+    ]
+    for space in spellings[1:]:
+        assert space == spellings[0]
+        assert hash(space) == hash(spellings[0])
+        assert json.dumps(space.to_json()) == json.dumps(spellings[0].to_json())
+    assert spellings[0].to_json()["atoms"][0] == {"signs": "--", "prob": "1/2"}
+
+
+def test_law_is_read_in_place():
+    # a per-atom copy of the 2^16-atom law, Fraction or integer, is megabytes
+    space, ones = uniform_cube(16), Weights.all_ones(16)
+    for work in (lambda: check_kwise(space, 1), lambda: pth_moment(space, ones, 4)):
+        tracemalloc.start()
+        try:
+            work()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def test_long_fractions_print_every_digit():

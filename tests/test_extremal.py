@@ -272,14 +272,28 @@ class TestUniquenessCheck:
         for n in self.GRID_N:
             for k in range(1, min(6, n) + 1):
                 for p in range(1, 9):
-                    sol = solve_reduced(n, p, k)
+                    sol = solve_reduced(n, p, k, check_unique=True)
                     assert sol.certificate_ok is True
                     calls.clear()
                     got = uniqueness_check(sol)
                     assert len(calls) <= 1, (n, p, k)
                     assert got == range_uniqueness(sol, n, p, k), (n, p, k)
+                    assert sol.unique is got, (n, p, k)
                     decisions.append(got)
         assert (len(decisions), sum(decisions)) == (1272, 763)
+
+    def test_solve_builds_its_objective_once(self, monkeypatch):
+        calls = []
+        real = extremal._powers
+        monkeypatch.setattr(extremal, "_powers", lambda *args: calls.append(args) or real(*args))
+        sol = solve_reduced(12, 6, 4, check_unique=True)
+        assert len(calls) == 1
+        assert sol.unique is uniqueness_check(solve_reduced(12, 6, 4))
+
+    def test_uncertified_solve_is_refused(self, monkeypatch):
+        monkeypatch.setattr(extremal, "verify_certificate", lambda *args: False)
+        with pytest.raises(ValueError, match="certified"):
+            solve_reduced(6, 4, 2, check_unique=True)
 
     def test_non_vertex_optimum_is_not_unique(self):
         # at p = 2 every pairwise independent profile is optimal; the midpoint
