@@ -76,58 +76,57 @@ def parity_class_coefficient(n: int, j: int, m: int) -> Fraction:
     return Fraction(parity_class_sum(n, j, m), comb(n, j))
 
 
-# The two program caches, `_reduced_rows` and `_flip_solver`, are bounded.
-# Each holds at least twice the programs that criterion 09 or one benchmark
-# workload uses, so none of those rebuilds a program; a long `table` sweep
-# no longer keeps them all.
-@lru_cache(maxsize=128)
 def _reduced_rows(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    rows = [tuple([1] * (n + 1))]
-    rows += [
-        tuple(parity_class_sum(n, j, m) for m in range(n + 1)) for j in range(1, k + 1)
-    ]
+    """The solver's rows K_j(m) = parity_class_sum(n, j, m), j = 0..k, and the
+    right-hand side e_0, in O(nk) integer steps: K_j(0) = (-1)^j C(n, j),
+    K_j(1) = (-1)^j (C(n-1, j) - C(n-1, j-1)), then the exact recurrence in m
+    (n - m) K_j(m+1) = (n - 2j) K_j(m) - m K_j(m-1)."""
+    rows = [(1,) * (n + 1)]
+    for j in range(1, k + 1):
+        row = [(-1) ** j * comb(n, j), (-1) ** j * (comb(n - 1, j) - comb(n - 1, j - 1))]
+        for m in range(1, n):
+            row.append(((n - 2 * j) * row[m] - m * row[m - 1]) // (n - m))
+        rows.append(tuple(row))
     return tuple(rows), (1,) + (0,) * k
 
 
-def _krawtchouk_rows(n: int, k: int) -> list[list[int]]:
-    """The reduced program's rows, built apart from `_reduced_rows` for the
-    certificates: K_j(m) = parity_class_sum(n, j, m) for j = 0..k from the
-    three-term recurrence K_0 = 1, K_1 = 2m - n and
+def _krawtchouk_rows(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """The same rows for the certificates, built apart from `_reduced_rows`
+    by the three-term recurrence in j: K_0 = 1, K_1 = 2m - n and
     (j + 1) K_{j+1} = (2m - n) K_j - (n - j + 1) K_{j-1}, whose division is
-    exact.  The right-hand side is e_0."""
+    exact."""
     d = [2 * m - n for m in range(n + 1)]
     rows = [[1] * (n + 1), d]
     for j in range(1, k):
         rows.append([(x * u - (n - j + 1) * v) // (j + 1) for x, u, v in zip(d, rows[j], rows[j - 1])])
-    return rows[:k + 1]
+    return tuple(map(tuple, rows[:k + 1]))
 
 
 @dataclass(frozen=True, slots=True)
 class ReducedLp:
     """Weight-profile program: maximize sum(objective[m] * q[m]) subject to
     the rows (normalization first, then one parity row per order 1..k),
-    q >= 0."""
+    q >= 0.  The solver pivots on `rows`; certificates, enclosures and the
+    uniqueness face LP read `check`, the same rows from `_krawtchouk_rows`."""
 
     n: int
     k: int
     objective: tuple
     rows: tuple[tuple[int, ...], ...]
     rhs: tuple[int, ...]
+    check: tuple[tuple[int, ...], ...]
 
 
 def reduced_lp(n: int, p, k: int, prec: int = DEFAULT_PREC) -> ReducedLp:
-    """Build the weight-profile program for exponent p.
+    """Build the weight-profile program for exponent p, once `_validate` admits it.
 
     Integer p gives exact integer objective coefficients |2m - n|^p; other
     rational p gives certified Interval coefficients at precision `prec`.
     """
     pf = _validate(n, p, k, full=False)
+    objective = _powers([2 * m - n for m in range(n + 1)], 1, pf, prec)
     rows, rhs = _reduced_rows(n, k)
-    return ReducedLp(n, k, tuple(_reduced_objective(n, pf, prec)), rows, rhs)
-
-
-def _reduced_objective(n: int, p: Fraction, prec: int) -> list:
-    return _powers([2 * m - n for m in range(n + 1)], 1, p, prec)
+    return ReducedLp(n, k, tuple(objective), rows, rhs, _krawtchouk_rows(n, k))
 
 
 def _powers(nums: list[int], den: int, p: Fraction, prec: int) -> list:
@@ -271,13 +270,12 @@ def solve_reduced(
 
     All-ones weights; the optimum over weight profiles q_0..q_n.  Exact for
     integer p.  With `check_unique` the face of the certified optimum is
-    probed and `unique` filled in (integer p only).  Each call solves a
-    fresh program of k+1 rows, so the optimizer, dual and `unique` do not
-    depend on anything the process solved before."""
+    probed on the same program and `unique` filled in (integer p only).  Each
+    call builds and solves a fresh program of k+1 rows, so the optimizer,
+    dual and `unique` do not depend on anything the process solved before."""
     program = reduced_lp(n, p, k, prec)
-    check, rhs = _krawtchouk_rows(n, k), [1] + [0] * k
     c, res, value = _solve(ExactSimplex(program.rows, program.rhs), program.objective,
-                           partial(reduced_costs, check))
+                           partial(reduced_costs, program.check))
     sol = LpSolution(
         kind="reduced",
         n=n,
@@ -286,12 +284,12 @@ def solve_reduced(
         optimal_value=value,
         optimizer=WeightProfile(n, res.x),
         dual=res.y,
-        certificate_ok=verify_certificate(check, rhs, c, res.x, res.y),
+        certificate_ok=verify_certificate(program.check, program.rhs, c, res.x, res.y),
         note=ODD_DIMENSION_NOTE if n % 2 else None,
         prec=prec,
     )
     if check_unique and isinstance(value, Fraction):
-        sol = replace(sol, unique=_face_lp(check, rhs, program.objective, res.x, res.y, sol.certificate_ok))
+        sol = replace(sol, unique=_face_lp(program, res.x, res.y, sol.certificate_ok))
     return sol
 
 
@@ -325,6 +323,8 @@ def _flip_program(n: int, k: int) -> tuple[list[list[int]], list[int], list[int]
     return rows, [1] + [0] * (len(rows) - 1), start
 
 
+# The one program cache, bounded: twice the flip programs that criterion 09
+# or one benchmark workload uses, so none of those rebuilds one.
 @lru_cache(maxsize=64)
 def _flip_solver(n: int, k: int) -> ExactSimplex:
     """The solver of `_flip_program(n, k)`, prepared, with the all-ones p = 4
@@ -440,30 +440,29 @@ def solve_full(
 
 def uniqueness_check(solution: LpSolution) -> bool:
     """Decide with one LP whether a reduced solution's optimizer x* is the only
-    optimum of the program of its n, p and k, on which it is re-certified
-    (Mangasarian, "Uniqueness of solution in linear programming", Linear
-    Algebra Appl. 25, 1979).  The optimal face is the feasible set on the
-    columns Z of zero reduced cost.  x* is its only point exactly when its
-    support columns are independent (as start columns they raise otherwise)
-    and no face point has mass on Z off it."""
+    optimum of the program of its n, p and k, which `reduced_lp` builds once
+    and on which x* is re-certified (Mangasarian, "Uniqueness of solution in
+    linear programming", Linear Algebra Appl. 25, 1979).  The optimal face is
+    the feasible set on the columns Z of zero reduced cost.  x* is its only
+    point exactly when its support columns are independent (as start columns
+    they raise otherwise) and no face point has mass on Z off it."""
     if solution.kind != "reduced":
         raise ValueError("uniqueness is only decided for reduced solutions")
     if not isinstance(solution.optimal_value, Fraction):
         raise ValueError("uniqueness needs the exact path (integer exponent)")
-    n, k = solution.n, solution.k
-    c = _reduced_objective(n, _validate(n, solution.p, k, full=False), DEFAULT_PREC)
-    rows, rhs = _krawtchouk_rows(n, k), [1] + [0] * k
-    q = solution.optimizer.q
-    return _face_lp(rows, rhs, c, q, solution.dual, verify_certificate(rows, rhs, c, q, solution.dual))
+    program = reduced_lp(solution.n, solution.p, solution.k)
+    q, y = solution.optimizer.q, solution.dual
+    return _face_lp(program, q, y, verify_certificate(program.check, program.rhs, program.objective, q, y))
 
 
-def _face_lp(rows, rhs, c, q, dual, certified: bool) -> bool:
-    """The face LP of `uniqueness_check`, on an optimizer q that `dual` has `certified`."""
+def _face_lp(program: ReducedLp, q, dual, certified: bool) -> bool:
+    """The face LP of `uniqueness_check` on the check rows of `program`, at
+    an optimizer q that `dual` has `certified`."""
     if not certified:
         raise ValueError("solution is not a certified optimum of the stated program")
-    slack, _ = reduced_costs(rows, dual, c)
+    slack, _ = reduced_costs(program.check, dual, program.objective)
     face = [j for j, s in enumerate(slack) if s == 0]
-    solver = ExactSimplex([[row[j] for j in face] for row in rows], rhs,
+    solver = ExactSimplex([[row[j] for j in face] for row in program.check], program.rhs,
                           start=[t for t, j in enumerate(face) if q[j]])
     try:
         # certified, so x* is feasible on the face: only dependence can raise

@@ -1,7 +1,9 @@
 """Fuzz of the command-line front end: whatever the flags, `kwise` exits
-with 0, 1 or 2 and never lets an exception escape as a traceback."""
+with 0, 1 or 2 within 20 s and never lets an exception escape as a
+traceback."""
 import contextlib
 import io
+import time
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -72,8 +74,11 @@ argvs = st.one_of(
 @settings(max_examples=50, deadline=None)
 @given(argvs)
 def test_any_flags_exit_cleanly(argv):
+    # the heaviest inputs the strategies admit take about 2 s on a 2-core host
     out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(argv)
+    assert time.perf_counter() - start < 20, argv
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue(), argv

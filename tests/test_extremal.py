@@ -288,7 +288,24 @@ class TestUniquenessCheck:
         monkeypatch.setattr(extremal, "_powers", lambda *args: calls.append(args) or real(*args))
         sol = solve_reduced(12, 6, 4, check_unique=True)
         assert len(calls) == 1
+        rows = []
+        real_rows = extremal._krawtchouk_rows
+        monkeypatch.setattr(extremal, "_krawtchouk_rows", lambda *args: rows.append(args) or real_rows(*args))
+        calls.clear()
+        assert sol.unique is uniqueness_check(sol)
+        assert (len(calls), len(rows)) == (1, 1)
         assert sol.unique is uniqueness_check(solve_reduced(12, 6, 4))
+
+    def test_no_route_reads_the_binomial_sums(self, monkeypatch):
+        # solver rows, check rows, certificate and face LP all come from the
+        # two recurrences; (211, 9) is a program no other test builds
+        def no_sums(*args):
+            raise AssertionError("parity_class_sum is the reference, not a builder")
+
+        monkeypatch.setattr(extremal, "parity_class_sum", no_sums)
+        sol = solve_reduced(211, 6, 9, check_unique=True)
+        assert sol.certificate_ok is True
+        assert uniqueness_check(sol) is sol.unique
 
     def test_uncertified_solve_is_refused(self, monkeypatch):
         monkeypatch.setattr(extremal, "verify_certificate", lambda *args: False)
@@ -699,11 +716,23 @@ class TestCheckData:
     solver pivots on."""
 
     def test_krawtchouk_rows_match_the_binomial_sums(self):
+        # the solver's recurrence in m and the check's recurrence in j, each
+        # held to the closed form
         start = time.perf_counter()
         for n in range(1, 40):
+            sums = tuple(tuple(parity_class_sum(n, j, m) for m in range(n + 1)) for j in range(min(n, 10) + 1))
             for k in range(1, min(n, 10) + 1):
-                assert extremal._krawtchouk_rows(n, k) == [list(r) for r in extremal._reduced_rows(n, k)[0]]
+                assert extremal._reduced_rows(n, k) == (sums[:k + 1], (1,) + (0,) * k), (n, k)
+                assert extremal._krawtchouk_rows(n, k) == sums[:k + 1], (n, k)
         assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("n,k", [(6817, 10), (9999, 7), (10000, 6)])
+    def test_solver_rows_at_the_caps(self, n, k):
+        # the recurrence in m divides by n - m at every step: exact up to m = n
+        rows, _ = extremal._reduced_rows(n, k)
+        for j in range(k + 1):
+            for m in (0, 1, 2, n // 2, n - 1, n):
+                assert rows[j][m] == parity_class_sum(n, j, m), (n, j, m)
 
     @pytest.mark.parametrize("n,p,k", [(10, 4, 2), (9, 5, 3), (64, 4, 2)])
     def test_corrupted_solver_rows_fail_the_certificate(self, monkeypatch, n, p, k):
