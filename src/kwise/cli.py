@@ -209,8 +209,8 @@ def _cmd_sample(args) -> None:
     """Writes the rows as they are drawn, 4096 to a write, so that memory
     stays flat in the sample count, in the bytes `_emit` gives the row list."""
     stream = Stream(StreamSpec(args.kind, args.n, args.seed))
-    n, draw, samples = stream.spec.dimension, stream.draw_bits, args.samples
-    first = sign_string(n, draw())  # a dimension too wide to draw fails here, before any output
+    n, draws, samples = stream.spec.dimension, stream.draws, args.samples
+    first = sign_string(n, next(draws))  # a dimension too wide to draw fails here, before any output
     if args.format == "json":
         head, row, sep, tail = "[", '{"draw": %d, "signs": "%s"}', ", ", "]\n"
     elif args.format == "csv":
@@ -222,7 +222,8 @@ def _cmd_sample(args) -> None:
     write(head + row % (0, first))
     row = sep + row  # every later row follows a separator
     for start in range(1, samples, 4096):
-        write("".join([row % (i, sign_string(n, draw())) for i in range(start, min(start + 4096, samples))]))
+        rows = zip(range(start, min(start + 4096, samples)), draws)
+        write("".join([row % (i, sign_string(n, bits)) for i, bits in rows]))
     write(tail)
 
 

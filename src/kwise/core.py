@@ -15,8 +15,6 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .intervals import Interval
 
-Rational = Fraction
-
 # Sign vectors live in a machine word; explicit-support expansion is capped
 # separately because 2^n atoms get large much sooner than n does: the
 # uniform law at n = 20 peaks at about 175 MB, its JSON rendering at 0.5 GB.
@@ -183,8 +181,10 @@ class SampleSpace:
         return f"SampleSpace(n={self.n}, atoms={self.support_size})"
 
     def to_json(self) -> dict:
+        # one string per distinct mass: a uniform law has 2^n atoms, one mass
+        probs = {num: _frac_str(Fraction(num, self.den)) for num in set(self.numerators.values())}
         atoms = [
-            {"signs": sign_string(self.n, bits), "prob": _frac_str(Fraction(num, self.den))}
+            {"signs": sign_string(self.n, bits), "prob": probs[num]}
             for bits, num in self.numerators.items()
         ]
         return {"n": self.n, "atoms": atoms}

@@ -22,7 +22,7 @@ from .core import (SampleSpace, SignVector, WeightProfile, _frac_str, _value_jso
                    walsh_hadamard)
 from .independence import check_kwise
 from .intervals import DEFAULT_PREC, Interval, rational_power
-from .moments import Weights
+from .moments import Value, Weights
 from .simplex import ExactSimplex, reduced_costs, verify_certificate
 
 MAX_REDUCED_DIMENSION = 10_000
@@ -185,9 +185,6 @@ def _validate(n, p, k, full: bool, a: Optional[Weights] = None) -> Fraction:
     if bits > bit_cap:
         raise ValueError(f"program too large: objective of {bits} bits > {bit_cap}")
     return pf
-
-
-Value = Union[Fraction, Interval]
 
 
 @dataclass(frozen=True, slots=True)

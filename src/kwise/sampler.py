@@ -12,7 +12,8 @@ next block's states are this block's plus _BLOCK*gamma in every lane: one
 lane-wise addition, whose carry out of bit 63 the mask drops.  A stream's
 words are the blocks chained into one iterator, which every draw and
 next_u64 read in turn.  Bounded draws use threshold rejection, so every
-range is exactly uniform.
+range is exactly uniform.  Each kind's draws are one endless iterator of
+sign bitmasks over those words, and every reader of a stream consumes it.
 
 An unweighted partition estimate needs only each draw's Hamming weight, so
 _partition_weights reads it from the class word alone and skips a balanced
@@ -28,9 +29,10 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from functools import cache, partial
+from itertools import chain, repeat
 from math import log2, sqrt
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .core import MAX_DIMENSION, SignVector
 from .constructions import xor_pattern, xor_sign
@@ -140,8 +142,6 @@ class XorDraw:
     seed_mask: int
 
     def sign(self, j: int) -> int:
-        if not 0 <= j < (1 << self.n):
-            raise ValueError(f"coordinate {j} out of range for dimension {1 << self.n}")
         return xor_sign(self.n, self.seed_sign, self.seed_mask, j)
 
 
@@ -149,14 +149,17 @@ class Stream:
     """Stateful sampler for one StreamSpec; see the module docstring for the
     determinism guarantee.  Not safe to share across threads.
 
-    draw_bits() returns one draw as a sign bitmask (bit i set means
-    coordinate i is +1).  For the xor kind it materializes all 2^n
-    coordinates and therefore requires the dimension to fit a bitmask."""
+    draws is the stream's one endless iterator of sign bitmasks (bit i set
+    means coordinate i is +1), and draw_bits() returns its next draw;
+    draw(), iteration and draw_lazy() read the same words in turn.  For the
+    xor kind a draw materializes all 2^n coordinates and therefore requires
+    the dimension to fit a bitmask."""
 
     def __init__(self, spec: StreamSpec):
         self.spec = spec
         self._rng = SplitMix64(spec.seed)
-        self.draw_bits = _DRAWS[spec.kind](spec.n, self._rng.words)
+        self.draws = _DRAWS[spec.kind](spec.n, self._rng.words)
+        self.draw_bits = self.draws.__next__
 
     def draw(self) -> SignVector:
         return SignVector(self.spec.dimension, self.draw_bits())
@@ -170,16 +173,14 @@ class Stream:
         return XorDraw(self.spec.n, seed_sign, seed_mask)
 
     def __iter__(self) -> Iterator[SignVector]:
-        while True:
-            yield self.draw()
+        return map(partial(SignVector, self.spec.dimension), self.draws)
 
 
-def _independent(n: int, words: Iterator[int]) -> Callable[[], int]:
-    low = (1 << n) - 1
-    return map(low.__and__, words).__next__
+def _independent(n: int, words: Iterator[int]) -> Iterator[int]:
+    return map(((1 << n) - 1).__and__, words)
 
 
-def _partition(n: int, words: Iterator[int]) -> Callable[[], int]:
+def _partition(n: int, words: Iterator[int]) -> Iterator[int]:
     """Unanimous with probability 1/n, else a uniform balanced vector: a
     partial shuffle of the coordinates' bits, whose first n/2 slots become
     the +1 coordinates."""
@@ -190,26 +191,24 @@ def _partition(n: int, words: Iterator[int]) -> Callable[[], int]:
     half = n // 2
     coords = [1 << i for i in range(n)]
     steps = [(i, n - i, _limit(n - i)) for i in range(half)]
-
-    def draw():
+    while True:
         u = word()
         while u >= limit:
             u = word()
         u %= bound
         if u == 0:
-            return full
-        if u == 1:
-            return 0
-        arr = coords[:]
-        for i, b, lim in steps:
-            u = word()
-            while u >= lim:
+            yield full
+        elif u == 1:
+            yield 0
+        else:
+            arr = coords[:]
+            for i, b, lim in steps:
                 u = word()
-            j = i + u % b
-            arr[i], arr[j] = arr[j], arr[i]
-        return sum(arr[:half])
-
-    return draw
+                while u >= lim:
+                    u = word()
+                j = i + u % b
+                arr[i], arr[j] = arr[j], arr[i]
+            yield sum(arr[:half])
 
 
 def _partition_weights(n: int, blocks: Iterator[tuple[int, ...]]) -> Iterator[int]:
@@ -242,28 +241,28 @@ def _partition_weights(n: int, blocks: Iterator[tuple[int, ...]]) -> Iterator[in
                 yield n if u == 0 else 0
                 i += 1
         del buf[:i]
-    draw = _partition(n, chain(buf, chain.from_iterable(blocks)))
-    while True:
-        yield draw().bit_count()
+    yield from map(int.bit_count, _partition(n, chain(buf, chain.from_iterable(blocks))))
 
 
-def _xor(n: int, words: Iterator[int]) -> Callable[[], int]:
-    word = words.__next__
+def _too_wide(n: int):
+    raise ValueError(
+        f"xor dimension 2^{n} = {1 << n} exceeds {MAX_DIMENSION}; "
+        "use draw_lazy for coordinate access"
+    )
+
+
+def _xor(n: int, words: Iterator[int]) -> Iterator[int]:
     dim = 1 << n
     if dim > MAX_DIMENSION:
-        def draw():
-            raise ValueError(
-                f"xor dimension 2^{n} = {dim} exceeds {MAX_DIMENSION}; "
-                "use draw_lazy for coordinate access"
-            )
-        return draw
-    # one sign word, then the seed mask: below(2^n) never rejects, because
-    # 2^n divides 2^64, so the mask is the word's low n bits
+        return map(_too_wide, repeat(n))  # raises at every draw, reads no word
+    # map takes one sign word, then the seed mask, from words in turn:
+    # below(2^n) never rejects, because 2^n divides 2^64, so the mask is the
+    # word's low n bits
     plus = [xor_pattern(n, 1, mask) for mask in range(dim)]
     full = (1 << dim) - 1
     patterns = ([v ^ full for v in plus], plus)
     low = dim - 1
-    return lambda: patterns[word() & 1][word() & low]
+    return map(lambda sign, mask: patterns[sign & 1][mask & low], words, words)
 
 
 _DRAWS = {"independent": _independent, "partition": _partition, "xor": _xor}
@@ -314,7 +313,7 @@ def estimate_moment(
     top = dim if a is None else sum(map(abs, a.a))
     if log2(samples) + 2 * pe * (log2(top.numerator) - log2(top.denominator)) >= 1024:
         raise ValueError(f"exponent {pf} too large: {samples} * ({top})^(2p) overflows a double")
-    draws = iter(Stream(spec).draw_bits, -1)  # endless: no draw is -1
+    draws = Stream(spec).draws
     if a is None:
         table = [float(abs(2 * m - dim)) ** pe for m in range(dim + 1)]
         if spec.kind == "partition":
@@ -333,15 +332,7 @@ def estimate_moment(
 
         # xor has at most 2^(n+1) distinct draws; other kinds keep nothing
         # per draw, because their draws need not repeat
-        memo = {}
-
-        def cached(bits):
-            t = memo.get(bits)
-            if t is None:
-                t = memo[bits] = value(bits)
-            return t
-
-        values = map(cached if spec.kind == "xor" else value, draws)
+        values = map(cache(value) if spec.kind == "xor" else value, draws)
     mean = 0.0
     m2 = 0.0
     for i, t in zip(range(1, samples + 1), values):

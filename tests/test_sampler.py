@@ -103,6 +103,25 @@ class TestStreamDeterminism:
         spec = StreamSpec("partition", 4, seed=77)
         assert sample(spec).bits == Stream(spec).draw_bits()
 
+    @pytest.mark.parametrize("seed", [0, 1, (1 << 64) - 1])
+    @pytest.mark.parametrize("kind,n", [("partition", 2), ("partition", 8), ("partition", 62),
+                                        ("xor", 1), ("xor", 3), ("xor", 5),
+                                        ("independent", 1), ("independent", 62)])
+    def test_every_reader_consumes_one_iterator(self, kind, n, seed):
+        spec = StreamSpec(kind, n, seed)
+        count = 600
+        expected = list(islice(Stream(spec).draws, count))
+        s = Stream(spec)
+        assert [s.draw_bits() for _ in range(count)] == expected
+        vectors = list(islice(iter(Stream(spec)), count))
+        assert {v.n for v in vectors} == {spec.dimension}
+        assert [v.bits for v in vectors] == expected
+        s = Stream(spec)
+        assert [s.draw().bits for _ in range(count)] == expected
+        s = Stream(spec)
+        assert [next(s.draws) if i % 2 else s.draw_bits() for i in range(count)] == expected
+        assert sample(spec).bits == expected[0]
+
 
 class TestPartitionStream:
     def test_draws_live_on_the_partition_support(self):
@@ -148,8 +167,7 @@ class TestPartitionStream:
 
 
 def _weights_from_partition(n, words, count):
-    draw = _partition(n, words)
-    return [draw().bit_count() for _ in range(count)]
+    return [bits.bit_count() for bits in islice(_partition(n, words), count)]
 
 
 class TestPartitionWeights:
@@ -232,6 +250,13 @@ class TestXorStream:
         assert draw.sign(127) in (-1, 1)
         with pytest.raises(ValueError, match="out of range"):
             draw.sign(128)
+
+    def test_too_wide_draws_keep_raising_and_read_no_word(self):
+        s = Stream(StreamSpec("xor", 7, seed=11))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="draw_lazy"):
+                s.draw_bits()
+        assert s.draw_lazy() == Stream(StreamSpec("xor", 7, seed=11)).draw_lazy()
 
     def test_draws_are_xor_atoms(self):
         space = xor_space(3)
