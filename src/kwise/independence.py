@@ -90,16 +90,24 @@ def parity_visits(n: int, atoms: int, k: int, cap: int) -> int:
     return visits
 
 
+def _parity_witness(space: SampleSpace, coords: Iterable[int], k: int
+                    ) -> Optional[tuple[tuple[int, ...], Fraction]]:
+    """The first set of 1..k of `coords`, by size then lexicographically,
+    whose parity average is nonzero, with that average; None if none is."""
+    den, atoms = space.den, space.numerators.items()
+    for size in range(1, k + 1):
+        for sub in combinations(coords, size):
+            total = _parity_sum(den, atoms, subset_mask(sub))
+            if total:
+                return (sub, Fraction(total, den))
+    return None
+
+
 def check_kwise(space: SampleSpace, k: int) -> IndependenceReport:
     """Parity route: every coordinate set of size 1..k must average to 0."""
     _check_level(space.n, k)
-    den, atoms = space.den, space.numerators.items()
-    for size in range(1, k + 1):
-        for coords in combinations(range(space.n), size):
-            total = _parity_sum(den, atoms, subset_mask(coords))
-            if total:
-                return IndependenceReport(k, size - 1, (coords, Fraction(total, den)))
-    return IndependenceReport(k, k, None)
+    witness = _parity_witness(space, range(space.n), k)
+    return IndependenceReport(k, k if witness is None else len(witness[0]) - 1, witness)
 
 
 def check_kwise_marginal(space: SampleSpace, k: int) -> IndependenceReport:
@@ -112,20 +120,12 @@ def check_kwise_marginal(space: SampleSpace, k: int) -> IndependenceReport:
             # 2^size positive numerators summing to den = 2^size are all 1
             if marg.support_size == marg.den == 1 << size:
                 continue
-            witness = _marginal_witness(space, coords)
+            # a non-uniform marginal forces some nonzero parity inside it
+            witness = _parity_witness(space, coords, size)
+            if witness is None:
+                raise AssertionError("non-uniform marginal without a parity witness")
             return IndependenceReport(k, size - 1, witness)
     return IndependenceReport(k, k, None)
-
-
-def _marginal_witness(space, coords):
-    # a non-uniform marginal forces some nonzero parity inside it
-    den, atoms = space.den, space.numerators.items()
-    for size in range(1, len(coords) + 1):
-        for sub in combinations(coords, size):
-            total = _parity_sum(den, atoms, subset_mask(sub))
-            if total:
-                return (sub, Fraction(total, den))
-    raise AssertionError("non-uniform marginal without a parity witness")
 
 
 def check_exchangeable(space: SampleSpace) -> bool:

@@ -4,7 +4,9 @@ Every operation returns an interval that provably contains the true value:
 field operations are exact on Fraction endpoints, and the irrational
 primitives (integer roots, pi, exp, log, gamma) come from convergent series
 with explicit rational remainder bounds, rounded outward onto a dyadic grid.
-No floating point is involved anywhere.
+pi (Machin's formula) and log 2 come from one directed fixed-point series,
+atan for the one and atanh for the other.  Floating point only picks the
+start of the integer Newton root, whose result does not depend on it.
 
 `rational_power` is the one route for fractional powers and their products
 (b1^e1 * b2^e2 * ...): a single directed root of the exact radicand while
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, comb, lcm
+from math import ceil, comb, lcm, log2
 
 DEFAULT_PREC = 128
 
@@ -151,7 +153,12 @@ def int_nth_root(n: int, k: int) -> int:
         raise ValueError("int_nth_root needs n >= 0, k >= 1")
     if n == 0 or k == 1:
         return n
-    r = 1 << ((n.bit_length() + k - 1) // k)
+    # start just above the root from a float estimate of n^(1/k), raised by
+    # a 2**-30 relative margin that covers the float's own error, so that
+    # Newton descends from near the root; the fix-ups below hold any start
+    lg = log2(n) / k
+    e = max(0, int(lg) - 60)
+    r = (int(2 ** (lg - e) * (1 + 2**-30)) + 1) << e
     while True:
         nxt = ((k - 1) * r + n // r ** (k - 1)) // k
         if nxt >= r:
@@ -179,17 +186,15 @@ def nth_root(x: Fraction, k: int, prec: int = DEFAULT_PREC) -> Interval:
     if ra**k == a and rb**k == b:
         return Interval.point(Fraction(ra, rb))
     target = a << (k * prec)
+    # r^k <= target // b < (r+1)^k, so r^k * b <= target < (r+1)^k * b
     r = int_nth_root(target // b, k)
-    while (r + 1) ** k * b <= target:
-        r += 1
-    while r**k * b > target:
-        r -= 1
     scale = 1 << prec
     return Interval(Fraction(r, scale), Fraction(r + 1, scale))
 
 
 # Above either size the power goes through exp/log instead of one root: an
-# integer k-th root costs about k Newton steps on numbers of k*prec bits.
+# integer k-th root takes a few Newton steps from its 30-bit float start, but
+# each is a (k-1)-th power and a division on numbers of k*prec bits or more.
 ROOT_MAX_DEGREE = 64
 ROOT_MAX_BITS = 1 << 16
 
@@ -247,44 +252,18 @@ def _corner_power(factors: list[tuple[Fraction, Fraction]], prec: int) -> Interv
 
 
 # ---------------------------------------------------------------------------
-# pi via Machin's formula with alternating-series brackets
-
-_PI_CACHE: dict[int, Interval] = {}
-
-
-def _atan_inv(x: int, prec: int) -> Interval:
-    """Enclosure of arctan(1/x) for integer x >= 2."""
-    eps = Fraction(1, 1 << (prec + 4))
-    total = _ZERO
-    k = 0
-    while True:
-        term = Fraction(1, (2 * k + 1) * x ** (2 * k + 1))
-        if term < eps:
-            # alternating with decreasing terms: truth within one term of S_k
-            return Interval(total - term, total + term)
-        total += term if k % 2 == 0 else -term
-        k += 1
-
-
-def pi_interval(prec: int = DEFAULT_PREC) -> Interval:
-    if prec not in _PI_CACHE:
-        w = prec + 16
-        iv = 16 * _atan_inv(5, w) - 4 * _atan_inv(239, w)
-        _PI_CACHE[prec] = iv.round_out(prec)
-    return _PI_CACHE[prec]
-
-
-# ---------------------------------------------------------------------------
-# logarithm and exponential
+# pi, logarithm and exponential
 
 _LOG2_CACHE: dict[int, Interval] = {}
 
 
-def _atanh_series(t: Fraction, prec: int) -> Interval:
-    """Enclosure of atanh(t) = t + t^3/3 + ... for 0 <= t < 1/2, summed in
-    fixed point on a grid finer than 2**-prec: the lower sum rounds every
-    power and term down, the upper one rounds them up, so the integers stay
-    short however long t's own numerator and denominator get."""
+def _atanh_series(t: Fraction, prec: int, sign: int = 1) -> Interval:
+    """Enclosure of atanh(t) = t + t^3/3 + ... for 0 <= t < 1/2, or with
+    sign=-1 of atan(t) = t - t^3/3 + ..., summed in fixed point on a grid
+    finer than 2**-prec: the lower sum takes every term's lower bound
+    (powers and quotients rounded down) and the upper one its upper bound,
+    swapped for a negative term, so the integers stay short however long
+    t's own numerator and denominator get."""
     a, b = t.numerator, t.denominator
     a2, b2 = a * a, b * b
     bits = prec + 8 + prec.bit_length()  # room for a few ulps per term
@@ -293,14 +272,27 @@ def _atanh_series(t: Fraction, prec: int) -> Interval:
     lo = hi = 0
     d = 1
     while hi_pow >= stop * d:
-        lo += lo_pow // d
-        hi += -(-hi_pow // d)
+        t_lo, t_hi = lo_pow // d, -(-hi_pow // d)
+        if sign < 0 and d & 2:  # atan's terms at d = 3, 7, 11, ... are negative
+            t_lo, t_hi = -t_hi, -t_lo
+        lo += t_lo
+        hi += t_hi
         lo_pow = lo_pow * a2 // b2
         hi_pow = -(-hi_pow * a2 // b2)
         d += 2
     # geometric tail: the rest of the series is at most t^d / (d (1 - t^2))
-    hi += -(-hi_pow * b2 // (d * (b2 - a2)))
-    return Interval(Fraction(lo, 1 << bits), Fraction(hi, 1 << bits))
+    # in absolute value, with either sign pattern
+    tail = -(-hi_pow * b2 // (d * (b2 - a2)))
+    if sign < 0:
+        lo -= tail
+    return Interval(Fraction(lo, 1 << bits), Fraction(hi + tail, 1 << bits))
+
+
+def pi_interval(prec: int = DEFAULT_PREC) -> Interval:
+    """Enclosure of pi by Machin's formula 16 atan(1/5) - 4 atan(1/239)."""
+    w = prec + 16
+    iv = 16 * _atanh_series(Fraction(1, 5), w, -1) - 4 * _atanh_series(Fraction(1, 239), w, -1)
+    return iv.round_out(prec)
 
 
 def _log2_interval(prec: int) -> Interval:

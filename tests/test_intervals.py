@@ -238,3 +238,55 @@ def test_atanh_series_encloses_at_its_own_precision(t, prec):
         want = mpmath.atanh(_mp(t))
         assert _mp(iv.lo) <= want <= _mp(iv.hi)
     assert iv.width < Fraction(1, 2 ** (prec + 2))
+
+
+@pytest.mark.parametrize("t", [Fraction(1, 5), Fraction(1, 239), Fraction(7, 23), Fraction(2**200 + 1, 3**130)])
+@pytest.mark.parametrize("prec", [64, 300])
+def test_alternating_series_encloses_atan(t, prec):
+    from kwise.intervals import _atanh_series
+
+    iv = _atanh_series(t, prec, -1)
+    with mpmath.workdps(200):
+        want = mpmath.atan(_mp(t))
+        assert _mp(iv.lo) <= want <= _mp(iv.hi)
+    assert iv.width < Fraction(1, 2 ** (prec + 2))
+
+
+def _nearest_dyadic_bracket(value, p):
+    with mpmath.workprec(2300):
+        f = int(mpmath.floor(value() * mpmath.mpf(2) ** p))
+    return Interval(Fraction(f, 1 << p), Fraction(f + 1, 1 << p))
+
+
+def test_pi_and_log2_are_the_nearest_dyadic_brackets():
+    from kwise.intervals import _log2_interval
+
+    for p in [*range(1, 301), *range(301, 2201, 13)]:
+        assert pi_interval(p) == _nearest_dyadic_bracket(lambda: mpmath.pi, p), p
+    for p in [*range(1, 301), *range(301, 1201, 13)]:
+        assert _log2_interval(p) == _nearest_dyadic_bracket(lambda: mpmath.log(2), p), p
+
+
+@pytest.mark.parametrize("exponent", [Fraction(4095, 2), Fraction(4095, 16), Fraction(4095, 64)])
+@pytest.mark.parametrize("radicand", [Fraction(9901) ** 4095, Fraction(1, 9999**4095)])
+def test_nth_root_brackets_large_radicands(radicand, exponent):
+    """The radicands `rational_power` roots for bases near 10^4 and exponents
+    of numerator 4095, and their reciprocals."""
+    k, prec = exponent.denominator, 128
+    iv = nth_root(radicand, k, prec)
+    r = iv.lo * (1 << prec)
+    assert r.denominator == 1 and iv.width == Fraction(1, 1 << prec)
+    a, b = radicand.numerator, radicand.denominator
+    target = a << (k * prec)
+    assert r.numerator**k * b <= target < (r.numerator + 1) ** k * b
+
+
+@pytest.mark.parametrize("k", [2, 3, 64, 4095])
+def test_int_nth_root_floor_of_long_integers(k):
+    import random
+
+    rng = random.Random(k)
+    root = rng.getrandbits(65000 // k) | 1 << (65000 // k - 1)
+    for n in (rng.getrandbits(rng.randrange(60000, 70001)) | 1 << 59999, root**k, root**k - 1):
+        r = int_nth_root(n, k)
+        assert r**k <= n < (r + 1) ** k
