@@ -7,13 +7,12 @@ order so that serialization and equality are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .intervals import Interval
+from .intervals import Interval, _int_str
 
 # Sign vectors live in a machine word; explicit-support expansion is capped
 # separately because 2^n atoms get large much sooner than n does: the
@@ -226,15 +225,6 @@ class WeightProfile:
     @classmethod
     def from_json(cls, data: dict) -> "WeightProfile":
         return cls(data["n"], tuple(Fraction(s) for s in data["q"]))
-
-
-def _int_str(v: int) -> str:
-    try:
-        return str(v)
-    except ValueError:
-        # more digits than sys.get_int_max_str_digits(); decimal's own
-        # conversion has no such limit and prints the same digits
-        return str(Decimal(v))
 
 
 def _frac_str(f: Fraction) -> str:

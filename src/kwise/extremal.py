@@ -31,9 +31,10 @@ MAX_FULL_DIMENSION = 12
 # count far more than n.  On a 2-core host (Python 3.11, p = 4) the reduced
 # program with its uniqueness check takes 20 s at (n, k) = (6817, 10), the
 # largest n admitted at k = 10, but 25 s at (500, 24) with a sixth of the
-# entries.  The flip-symmetric program that solve_full runs takes about
-# 30 s at (10, 4) and (12, 2), and more than 90 s at (11, 4).  Its rows
-# never outnumber its columns, so its entry bound bounds its rows too.
+# entries.  The flip-symmetric program that solve_full runs takes 11 s at
+# (10, 4) with p = 6, its slowest objective there, 21 s at (12, 2), and
+# 223 s at (11, 4) with p = 4 (58 MB peak), each in a fresh process.  Its
+# rows never outnumber its columns, so its entry bound bounds its rows too.
 MAX_REDUCED_ROWS = 11
 MAX_REDUCED_ENTRIES = 75_000
 MAX_FULL_ENTRIES = 140_000

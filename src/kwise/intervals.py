@@ -16,6 +16,7 @@ rational result is a point, and exp of a sum of logs beyond that.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import ceil, comb, lcm, log2
 
@@ -134,14 +135,23 @@ def _coerce(x) -> Interval:
     return Interval.point(x)
 
 
+def _int_str(v: int) -> str:
+    try:
+        return str(v)
+    except ValueError:
+        # more digits than sys.get_int_max_str_digits(); decimal's own
+        # conversion has no such limit and prints the same digits
+        return str(Decimal(v))
+
+
 def _decimal_str(f: Fraction, digits: int, down: bool) -> str:
     scale = 10**digits
     num = f.numerator * scale
     q = num // f.denominator if down else -((-num) // f.denominator)
     sign = "-" if q < 0 else ""
-    q = abs(q)
-    whole, frac = divmod(q, scale)
-    return f"{sign}{whole}.{frac:0{digits}d}" if digits else f"{sign}{whole}"
+    whole, frac = divmod(abs(q), scale)
+    head = sign + _int_str(whole)
+    return f"{head}.{_int_str(frac).zfill(digits)}" if digits else head
 
 
 # ---------------------------------------------------------------------------

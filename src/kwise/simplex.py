@@ -7,9 +7,12 @@ variables are the n structural columns and one artificial per row; a
 `nonbasic` list beside `basis` says which variable each slot holds.  A
 basic variable's column is implicit: its row's divisor on its own row and 0
 on every other row.  A pivot exchanges slots: the entering variable's slot
-is recomputed as the leaving variable's column, so each row has n + 1
-entries however many artificials are still basic, and no pivot recomputes
-the zeros of an identity block.
+is recomputed as the leaving variable's column, so no pivot recomputes the
+zeros of an identity block.  In phase 1 each row has n + 1 entries however
+many artificials are still basic; after it the nonbasic artificials' slots
+are dropped (see below), and a row keeps the structural nonbasic slots and
+the right-hand side: 65 entries instead of 129 on the flip-symmetric
+n = 8, k = 4 program of `extremal`, 257 instead of 513 at n = 10, k = 4.
 
 Every `maximize` pivots on a copy of one start tableau, fixed by the
 constructor's `start` and `home`, so no result depends on earlier calls.
@@ -18,20 +21,23 @@ Each row is kept fraction-free: an integer vector together with one
 positive integer divisor, instead of one divisor shared by the whole tableau
 in the style of Bareiss.  `_reduce_row` is the only code that normalizes a
 row: after every update it divides the row and its divisor by their
-content, signed so that the divisor comes out positive.  That content is
-the one a full tableau B^-1 [A | I | b] would take, since the basic columns
-only add zeros and the row's own divisor, so every stored entry and divisor
-equals the full tableau's entry for the same variable.  How far rows are
-reduced decides only their size: the pivot rules read true values alone
-(Dantzig's rule compares entries of one row, the ratio test cross-multiplies
-within rows, so the divisors cancel, and the contact rule tests for zeros),
-and x and y come back as normalized Fractions.  True tableau entries are
-ratios of basis minors, and how large the reduced rows get depends on the
-path of bases.  On the flip-symmetric n = 8, k = 4 program of `extremal` the
-largest entry has 20 bits after Dantzig's phase 1 from the all-artificial
-basis and 7 bits from the even-weight-code start; at n = 10, k = 4 it has
-112 bits after Dantzig's phase 1 and 9 bits from the code start, and 23 bits
-after the p = 6 solve from either.
+content, signed so that the divisor comes out positive.  In phase 1 that
+content is the one a full tableau B^-1 [A | I | b] would take, since the
+basic columns only add zeros and the row's own divisor, so every stored
+entry and divisor equals the full tableau's entry for the same variable.
+After phase 1 a row is reduced over its live entries only, so its stored
+integers may be smaller than the full tableau's; its true values are the
+same.  How far rows are reduced decides only their size: the pivot rules
+read true values alone (Dantzig's rule compares entries of one row, the
+ratio test cross-multiplies within rows, so the divisors cancel, and the
+contact rule tests for zeros), and x and y come back as normalized
+Fractions.  True tableau entries are ratios of basis minors, and how large
+the reduced rows get depends on the path of bases.  On the n = 8, k = 4
+flip program the largest entry has 20 bits after Dantzig's phase 1 from the
+all-artificial basis and 7 bits from the even-weight-code start; at
+n = 10, k = 4 it has 112 bits after Dantzig's phase 1 and 9 bits from the
+code start, and 21 bits after the p = 6 solve from either (23 bits in the
+full-width rows).
 
 Entering columns follow Dantzig's largest-violation rule, ties to the lowest
 variable index; leaving rows use the lexicographic ratio test anchored on
@@ -48,10 +54,18 @@ out on contact, whatever the sign of its entry.  Such a pivot keeps every
 true value unchanged, and the lexicographic anchor is re-established after
 it, so each stretch between artificial removals terminates and there are at
 most m removals in total.  An artificial basic at zero at the end is
-harmless: its constraint holds, its dual weight reads as zero, and
+harmless: its constraint holds, its dual weight comes out zero, and
 consistent dependent constraint rows are accepted instead of rejected.
-A nonbasic artificial never enters again; its slot stays in the rows
-because the objective row's entry there is the row's dual weight.
+
+A nonbasic artificial never enters again, so once phase 1 ends its slot is
+dropped from every row: no later pivot prices it, anchors on it (anchors
+are basic when a run starts) or tests it for contact.  The dual comes from
+the phase-1 basis B1 instead, whose inverse is those dropped slots: with
+d_j the reduced cost of variable j at the end of a run, y A_j = c_j + d_j
+for every column, so y = z B1^-1 with z_t = c_j + d_j for the variable j
+basic on row t after phase 1 (Chvátal, ch. 7).  Each such j is basic at
+the end (d_j = 0) or left the basis into a live slot, where d_j sits on
+the objective row; an artificial has c_j = 0.
 
 `verify_certificate` re-checks any claimed optimum from scratch in exact
 arithmetic; it shares no state or code with the pivot loop.  Its dual half,
@@ -119,12 +133,15 @@ class ExactSimplex:
         # the feasible tableau every maximize starts from, as (rows,
         # divisors, basis, nonbasic); built once, by prepare
         self._tableau: tuple[list[list[int]], list[int], list[int], list[int]] | None = None
+        # the phase-1 basis, the rows of its inverse over one denominator,
+        # and that denominator; built with the tableau
+        self._inverse: tuple[list[int], list[list[int]], int] | None = None
 
     def prepare(self) -> None:
         """Build the start tableau, once: phase 1, then the optimum of the
         home objective if there is one.  The first `maximize` calls it."""
         if self._tableau is None:
-            start = self._phase1()
+            start = self._narrow(*self._phase1())
             if self.home is not None:
                 self._run(self.home, *start)
             self._tableau = start
@@ -161,6 +178,34 @@ class ExactSimplex:
         divs.pop()
         return M, divs, basis, nonbasic
 
+    def _narrow(self, M, divs, basis, nonbasic):
+        """Keep the phase-1 basis and the rows of its inverse, then drop the
+        nonbasic artificials' slots from the tableau, which no later pivot
+        reads.  Row t of the inverse is row t's entries under the
+        artificials' columns: a nonbasic one's slot, or the row's divisor
+        where the row's own artificial is basic.  The rows are stored over
+        one common denominator, with the column of a negated row negated,
+        so that `_run` gets the dual y = z B1^-1 as one integer sum."""
+        n, m = self.n, self.m
+        col = [None] * m
+        for s, j in enumerate(nonbasic):
+            if j >= n:
+                col[j - n] = s
+        den = lcm(*divs)
+        sign = [-1 if b < 0 else 1 for b in self.rhs]
+        inv = []
+        for t, row in enumerate(M):
+            f = den // divs[t]
+            inv.append([sign[i] * (row[s] * f if s is not None else den if basis[t] == n + i else 0)
+                        for i, s in enumerate(col)])
+        self._inverse = (basis[:], inv, den)
+        live = [s for s, j in enumerate(nonbasic) if j < n] + [n]
+        for t in range(m):
+            row = M[t]
+            M[t] = [row[s] for s in live]
+            _reduce_row(M, divs, t)
+        return M, divs, basis, [nonbasic[s] for s in live[:-1]]
+
     # -- core loop ----------------------------------------------------------
 
     def _optimize(self, M, divs, basis, nonbasic, stop_at_zero=False) -> None:
@@ -168,7 +213,7 @@ class ExactSimplex:
         `stop_at_zero` ends as soon as the objective cell reaches zero
         (phase 1 stops at feasibility).  No artificial enters."""
         m, n = self.m, self.n
-        rhs = n  # one slot per nonbasic variable, then the right-hand side
+        rhs = len(nonbasic)  # one slot per nonbasic variable, then the rhs
         anchors = tuple(basis)
         while True:
             obj = M[m]  # _pivot rebinds rows, so re-read each pass
@@ -203,7 +248,7 @@ class ExactSimplex:
         unique.  An anchor that is still basic has its implicit column, the
         row divisor on its own row and 0 elsewhere.  Row divisors cancel
         inside each ratio, so entries are compared directly."""
-        rhs = self.n
+        rhs = len(nonbasic)
         cands = [i for i in range(self.m) if M[i][slot] > 0]
         if not cands:
             return None
@@ -234,9 +279,11 @@ class ExactSimplex:
     # -- optimization -------------------------------------------------------
 
     def maximize(self, c: Sequence) -> SimplexResult:
-        """Maximize c.x from the start basis (see `prepare`).  The dual
-        weight of row i is read off the objective row under the slot of
-        artificial n + i, or is 0 while that artificial is basic."""
+        """Maximize c.x from the start basis (see `prepare`).  The dual is
+        y = z B1^-1 through the phase-1 basis inverse that `prepare` kept,
+        with z read off the objective row (see the module docstring); it
+        equals c_B B^-1 for the final basis B, the objective row's entries
+        under the artificials' columns."""
         if self._tableau is None:
             self.prepare()
         M, divs, basis, nonbasic = self._tableau
@@ -244,13 +291,13 @@ class ExactSimplex:
 
     def _run(self, c: Sequence, M, divs, basis, nonbasic) -> SimplexResult:
         """Optimize c from the feasible tableau given, pivoting in place."""
-        cf = [Fraction(v) for v in c]
+        cf = [v if type(v) is Fraction else Fraction(v) for v in c]
         if len(cf) != self.n:
             raise ValueError(f"objective length {len(cf)} != {self.n} columns")
         n, m = self.n, self.m
         # objective row holds true reduced costs over one divisor: start from
         # -c and add back the basic rows' contributions on one common scale
-        L = lcm(*(v.denominator for v in cf))
+        Lc = L = lcm(*(v.denominator for v in cf))
         for i in range(m):
             if basis[i] < n and cf[basis[i]]:
                 L = lcm(L, divs[i] * cf[basis[i]].denominator)
@@ -268,17 +315,28 @@ class ExactSimplex:
         x = [Fraction(0)] * n
         for i in range(m):
             if basis[i] < n:
-                x[basis[i]] = Fraction(M[i][n], divs[i])
+                x[basis[i]] = Fraction(M[i][-1], divs[i])
         obj = M.pop()
         dob = divs.pop()
-        # the artificial of a negated row stands for minus the original one
-        y = [Fraction(0)] * m
-        for s, j in enumerate(nonbasic):
-            if j >= n:
-                i = j - n
-                y[i] = Fraction(-obj[s] if self.rhs[i] < 0 else obj[s], dob)
-        value = Fraction(obj[n], dob)
-        return SimplexResult(value, tuple(x), tuple(y))
+        # y B1 = z for the phase-1 basis B1, where z_t = c_j + d_j for the
+        # variable j basic on row t after phase 1: its reduced cost d_j is
+        # on the objective row, or 0 while j is basic, and c_j = 0 for an
+        # artificial.  z is summed over the common denominator zd.
+        basis1, inv, den = self._inverse
+        zd = lcm(dob, Lc)
+        f = zd // dob
+        slot = {j: s for s, j in enumerate(nonbasic)}
+        acc = [0] * m
+        for j, row in zip(basis1, inv):
+            w = cf[j].numerator * (zd // cf[j].denominator) if j < n else 0
+            if j in slot:
+                w += obj[slot[j]] * f
+            if w:
+                acc = [a + w * v for a, v in zip(acc, row)]
+        zd *= den
+        y = tuple(Fraction(v, zd) for v in acc)
+        value = Fraction(obj[-1], dob)
+        return SimplexResult(value, tuple(x), y)
 
 
 def _pivot(M: list[list[int]], divs: list[int], r: int, s: int) -> None:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -355,6 +356,16 @@ class TestLongExactValues:
         assert code == 0, err
         # n^(p-1) at k = 2 and even n; 2000^3999 = 2^3999 * 10^11997
         assert json.loads(out)["value"] == str(2**3999) + "0" * 11997 + "/1"
+
+    def test_enclosure_beyond_int_string_limit_prints(self, capsys):
+        # |<a, x>|^(4095/2) with one weight 10^6 is about 10^12286
+        a = ",".join(["1000000"] + ["1"] * 9)
+        code, out, err = invoke(capsys, "moment", "--construct", "partition", "--n", "10",
+                                "--p", "4095/2", "--a", a)
+        assert code == 0, err
+        value = json.loads(out)["value"]
+        lo, hi = Decimal(value["lo"]), Decimal(value["hi"])
+        assert lo <= hi and len(value["lo"].partition(".")[0]) > 12000
 
 
 class TestBrokenPipe:

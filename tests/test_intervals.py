@@ -47,6 +47,16 @@ def test_decimal_bounds_round_outward():
     assert Decimal(hi) == Decimal("0.66667")
 
 
+def test_decimal_bounds_beyond_int_string_limit():
+    # integer parts of 5001 digits, beyond the interpreter's default 4300
+    big = 10**5000
+    iv = Interval(-Fraction(3 * big + 1, 3), Fraction(3 * big + 2, 3))
+    lo, hi = iv.decimal_bounds(4)
+    assert lo == "-1" + "0" * 5000 + ".3334"
+    assert hi == "1" + "0" * 5000 + ".6667"
+    assert iv.decimal_bounds(0) == ("-1" + "0" * 4999 + "1", "1" + "0" * 4999 + "1")
+
+
 def test_division_by_zero_straddling_interval():
     with pytest.raises(ZeroDivisionError):
         Interval.point(1) / Interval(Fraction(-1), Fraction(1))

@@ -1,11 +1,15 @@
 """The exact solver against closed forms, a brute-force oracle, and its own
 certificate checker."""
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from kwise import extremal, simplex
+from kwise.extremal import solve_full
 from kwise.simplex import ExactSimplex, reduced_costs, verify_certificate
 
 
@@ -320,3 +324,94 @@ def test_infeasible_start_basis_is_rejected():
         solver.prepare()
     with pytest.raises(ValueError, match="out of range"):
         ExactSimplex([[1, 1]], [1], start=[2])
+
+
+def _random_programs(count=200, seed=20261021):
+    """Seeded small integer programs, each with the objectives to maximize
+    on it: (rows, rhs, start, home, objectives).  A bounding row of ones
+    keeps every one finite.  Every fourth program has a repeated row (its
+    artificial can stay basic at zero), every fourth a right-hand side
+    that admits its `start` columns, every fourth a `home` objective, and
+    random rows give negative right-hand sides throughout."""
+    rng = random.Random(seed)
+    for trial in range(count):
+        m = rng.randint(1, 4)
+        n = rng.randint(m + 1, 7)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m - 1)] + [[1] * n]
+        rhs = [rng.randint(-4, 4) for _ in range(m - 1)] + [rng.randint(1, 5)]
+        start = ()
+        if trial % 4 == 1:
+            # rhs from a point on the chosen columns, so they can start
+            support = rng.sample(range(n), rng.randint(1, m))
+            x = [rng.randint(1, 3) if j in support else 0 for j in range(n)]
+            rhs = [sum(a * v for a, v in zip(row, x)) for row in rows]
+            start = tuple(support)
+        if trial % 4 == 2 or trial % 8 == 1:
+            i = rng.randrange(m)
+            scale = rng.choice((1, -1, 2))
+            rows.append([scale * v for v in rows[i]])
+            rhs.append(scale * rhs[i])
+        home = None
+        if trial % 4 == 3 or trial % 8 == 5:
+            home = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
+        objectives = [[Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3))) for _ in range(n)]
+                      for _ in range(3)]
+        yield rows, rhs, start, home, objectives
+
+
+# sha256 over every maximize of _random_programs: its value, x and y as
+# strings, or the error a program raises; recorded before the artificial
+# slots were dropped after phase 1
+RANDOM_DIGEST = "ae699659d108a18bbb7fa91919b02bf2e7d51a996849f1f2d8df1bfe1788af74"
+
+
+def test_random_programs_keep_value_primal_and_dual():
+    h = hashlib.sha256()
+    solved = negative = repeated = started = homed = 0
+    for rows, rhs, start, home, objectives in _random_programs():
+        solver = ExactSimplex(rows, rhs, start=start, home=home)
+        for c in objectives:
+            try:
+                res = solver.maximize(c)
+            except (RuntimeError, ValueError) as exc:
+                h.update(f"{type(exc).__name__}: {exc}\n".encode())
+                continue
+            solved += 1
+            negative += any(b < 0 for b in rhs)
+            # an artificial still basic at zero in the start basis
+            repeated += any(j >= len(c) for j in solver._tableau[2])
+            started += bool(start)
+            homed += home is not None
+            assert verify_certificate(rows, rhs, c, res.x, res.y)
+            h.update(json.dumps([str(res.value), [str(v) for v in res.x],
+                                 [str(v) for v in res.y]]).encode() + b"\n")
+    assert min(negative, repeated, started, homed) >= 60 and solved >= 400, (
+        solved, negative, repeated, started, homed)
+    assert h.hexdigest() == RANDOM_DIGEST
+
+
+def test_runs_after_phase1_pivot_on_live_slots_only(monkeypatch):
+    # phase 1 pivots on all n structural and m artificial variables' slots;
+    # after it each row keeps the structural nonbasic slots and the
+    # right-hand side, and the home run and every maximize pivot on those
+    widths = []
+    real = simplex._pivot
+
+    def recorded(M, divs, r, s):
+        widths.append(len(M[r]))
+        real(M, divs, r, s)
+
+    monkeypatch.setattr(simplex, "_pivot", recorded)
+    for n, k, width in ((8, 4, 65), (7, 4, 8), (8, 2, 100)):
+        widths.clear()
+        solver = ExactSimplex(*extremal._flip_program(n, k))
+        solver.prepare()
+        assert set(widths) == {solver.n + 1}, (n, k)
+        M, _, basis, nonbasic = solver._tableau
+        assert all(j < solver.n for j in nonbasic), (n, k)
+        structural = sum(j < solver.n for j in basis)
+        assert {len(row) for row in M} == {solver.n - structural + 1} == {width}, (n, k)
+    assert {len(row) for row in extremal._flip_solver(8, 4)._tableau[0]} == {65}
+    widths.clear()
+    solve_full(8, 5, 4)
+    assert len(widths) == 51 and set(widths) == {65}
