@@ -2,9 +2,10 @@
 
 Two routes to the same optimum: `solve_full` works on all 2^n sign patterns
 with one parity constraint per coordinate subset of size at most k (solved
-on the flip-symmetric pairs {x, ~x}, certified on every atom by Walsh-Hadamard
-transforms), while `solve_reduced` exploits permutation symmetry and optimizes
-over Hamming weight profiles with k constraint rows (certified by `simplex`
+on the flip class program, one column per pair of profiles {m, ~m} that
+count the plus signs in each class of equal weights, and certified on every
+atom by Walsh-Hadamard transforms), while `solve_reduced` optimizes over
+Hamming weight profiles with k + 1 constraint rows (certified by `simplex`
 on rows of its own, from the Krawtchouk recurrence).
 Both return exact rational values for integer exponents and certified
 enclosures otherwise.
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 from math import ceil, comb, lcm
 from typing import Optional, Union
 
@@ -31,10 +32,14 @@ MAX_FULL_DIMENSION = 12
 # count far more than n.  On a 2-core host (Python 3.11, p = 4) the reduced
 # program with its uniqueness check takes 20 s at (n, k) = (6817, 10), the
 # largest n admitted at k = 10, but 25 s at (500, 24) with a sixth of the
-# entries.  The flip-symmetric program that solve_full runs takes 11 s at
-# (10, 4) with p = 6, its slowest objective there, 21 s at (12, 2), and
-# 223 s at (11, 4) with p = 4 (58 MB peak), each in a fresh process.  Its
-# rows never outnumber its columns, so its entry bound bounds its rows too.
+# entries.  The full bounds count the all-singleton flip program, which
+# solve_full runs when the weights all differ and which is the largest
+# class program of its (n, k), so they bound every program solve_full runs.
+# It takes 11 s at (10, 4) with p = 6, its slowest objective there, 21 s at
+# (12, 2), and 223 s at (11, 4) with p = 4 (58 MB peak), each in a fresh
+# process; all-ones weights, one class, take 0.2 s at (10, 4) with p = 6.
+# Its rows never outnumber its columns, so its entry bound bounds its rows
+# too.
 MAX_REDUCED_ROWS = 11
 MAX_REDUCED_ENTRIES = 75_000
 MAX_FULL_ENTRIES = 140_000
@@ -42,10 +47,11 @@ MAX_FULL_ENTRIES = 140_000
 # At (6817, 10) the reduced solve keeps its 178 pivots at every large p, but
 # its time grows with the bits, faster at odd p: 15 s at p = 3500 and 37 s
 # at p = 3501 (3.1e8 bits), 42 s at p = 4095 (3.6e8).  The bound admits p
-# up to 3028 there; p = 3027 took 28-39 s.  The flip program's time follows
-# its pivots more than its bits (31.5 s at (10, 4) and 35 s at (12, 2) at
-# p = 4095, all-ones), but weights of 61 bits made 3.4e7 bits take 43-48 s;
-# at its bound, (12, 2) at p = 1023 took 32 s.
+# up to 3028 there; p = 3027 took 28-39 s.  The all-singleton flip
+# program's time follows its pivots more than its bits (31.5 s at (10, 4)
+# and 35 s at (12, 2) at p = 4095 with the all-ones objective), but weights
+# of 61 bits made 3.4e7 bits take 43-48 s; at its bound, (12, 2) at
+# p = 1023 took 32 s.
 MAX_REDUCED_BITS = 1 << 28
 MAX_FULL_BITS = 1 << 23
 
@@ -146,10 +152,12 @@ def program_cost(n: int, p, k: int, full: bool = False,
     """(rows, columns, objective bits) of the program of n, p and k on its
     route, counted without building it: k + 1 rows by n + 1 columns for the
     reduced program, the even-size parity rows by 2^(n-1) columns for the
-    flip-symmetric one, and per column |p| times the bits of the largest
-    base.  That base is |<a, x>| <= sum |a_i| over the weights' common
-    denominator, n for all-ones weights.  A fractional p adds about `prec`
-    bits per column, the width of its enclosures, which is not counted."""
+    full one (the all-singleton flip program, the largest flip class
+    program of n and k, whatever the weights' classes), and per column |p|
+    times the bits of the largest base.  That base is |<a, x>| <= sum |a_i|
+    over the weights' common denominator, n for all-ones weights.  A
+    fractional p adds about `prec` bits per column, the width of its
+    enclosures, which is not counted."""
     if full:
         rows, cols = sum(comb(n, j) for j in range(0, k + 1, 2)), 1 << (n - 1)
     else:
@@ -198,8 +206,10 @@ class LpSolution:
     (see `_solve`) at `prec` bits.  Every solution is certified: `dual`
     proves the optimizer optimal via `verify_certificate` (reduced route) or
     `_certify_full` (unreduced), and `certificate_ok` records the outcome.  On
-    the unreduced route the dual is aligned with `full_constraint_labels` and
-    is 0 on every odd-size label, as the solve runs on the flip program.
+    the unreduced route the dual is aligned with `full_constraint_labels`, is
+    0 on every odd-size label and equal on labels of one class type, and the
+    optimizer is exchangeable within each class of equal weights, as the
+    solve runs on the flip class program.
     Both routes are history-free: the same arguments give the same solution
     whatever the process solved before.
     """
@@ -297,66 +307,88 @@ def full_constraint_labels(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     return ((),) + tuple(chain.from_iterable(combinations(range(n), size) for size in range(1, k + 1)))
 
 
-def _flip_program(n: int, k: int) -> tuple[list[list[int]], list[int], list[int]]:
-    """(rows, rhs, start) of the flip-symmetric program for even k: one
-    column per pair {x, ~x}, indexed by x - 2^(n-1) for the member x with
-    the top bit set, and one row per even-size label T: -1 where |T & x| is odd.
+def _class_types(sizes: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
+    """The row types of the flip class program of `sizes` for even k: every
+    (j_1..j_r) with 0 <= j_i <= n_i and even sum at most k, by size and then
+    in descending lex order.  With all-singleton sizes a type is the
+    indicator of a label, so this is the even-size part of
+    `full_constraint_labels`, in order."""
+    types = (j for j in product(*(range(min(size, k) + 1) for size in sizes))
+             if sum(j) % 2 == 0 and sum(j) <= k)
+    return sorted(types, key=lambda j: (sum(j), [-v for v in j]))
 
-    Phase 1 starts from the uniform law on the even-weight code (the sign
-    vectors with an even number of minus signs) when n is even,
-    k <= n - 2 and n <= 2k + 2.  That law is (n-1)-wise independent, so it
-    meets every row while k < n; k = n fails because the row T = [n] is
-    constant 1 on the code.  Its 2^(n-2) pairs, the columns x - 2^(n-1)
-    for x >= 2^(n-1) of even popcount, form a basis exactly when every
-    even-size character appears among the rows up to complement (on the
-    code, T and its complement give the same row): every even size t has
-    min(t, n - t) <= k, which for even k is n <= 2k + 2.  Other cells
+
+def _flip_program(sizes: tuple[int, ...], k: int) -> tuple[list[list[int]], list[int], list[int]]:
+    """(rows, rhs, start) of the flip-symmetric class program for even k.
+
+    The coordinates fall into classes of the given sizes n_1..n_r, and a
+    profile (m_1..m_r) counts the plus signs in each class; its mixed-radix
+    index has class 1 least significant.  Flipping every sign maps m_i to
+    n_i - m_i and an index t to N - 1 - t, N = prod(n_i + 1), so the pair
+    is one column, kept at its larger index: column t - N // 2 for each
+    t >= N // 2.  Row (j_1..j_r), from `_class_types`, is
+    prod K_{j_i}(m_i; n_i): the sum of the characters of every label with
+    j_i coordinates in class i, the same at every atom of the pair, as the
+    sum of the j_i is even.  All-singleton sizes give one column per pair
+    {x, ~x}, indexed by x - 2^(n-1) for the member x with the top bit set,
+    and one row per even-size label T: -1 where |T & x| is odd.
+
+    Phase 1 of an all-singleton program starts from the uniform law on the
+    even-weight code (the sign vectors with an even number of minus signs)
+    when n is even, k <= n - 2 and n <= 2k + 2.  That law is (n-1)-wise
+    independent, so it meets every row while k < n; k = n fails because the
+    row T = [n] is constant 1 on the code.  Its 2^(n-2) pairs, the columns
+    x - 2^(n-1) for x >= 2^(n-1) of even popcount, form a basis exactly when
+    every even-size character appears among the rows up to complement (on
+    the code, T and its complement give the same row): every even size t
+    has min(t, n - t) <= k, which for even k is n <= 2k + 2.  Other programs
     start phase 1 from the all-artificial basis."""
-    half = 1 << (n - 1)
-    masks = [subset_mask(t) for t in full_constraint_labels(n, k) if len(t) % 2 == 0]
-    rows = [[-1 if (m & x).bit_count() & 1 else 1 for x in range(half, 1 << n)] for m in masks]
+    tables = [_reduced_rows(size, size)[0] for size in sizes]
+    rows = []
+    for j in _class_types(sizes, k):
+        row = [1]
+        for table, ji in zip(tables, j):
+            row = [u * v for u in table[ji] for v in row]
+        rows.append(row[len(row) // 2:])
+    n = len(sizes)
     start = []
-    if n % 2 == 0 and k <= n - 2 and n <= 2 * k + 2:
+    if sum(sizes) == n and n % 2 == 0 and k <= n - 2 and n <= 2 * k + 2:
+        half = 1 << (n - 1)
         start = [x - half for x in range(half, 1 << n) if x.bit_count() % 2 == 0]
     return rows, [1] + [0] * (len(rows) - 1), start
 
 
-# The one program cache, bounded: twice the flip programs that criterion 09
-# or one benchmark workload uses, so none of those rebuilds one.
+def _profile_sums(sizes: tuple[int, ...], w) -> list[int]:
+    """sum_i w_i (2 m_i - n_i) at each column of the flip class program of
+    `sizes`, for integer class weights w."""
+    sums = [0]
+    for size, v in zip(sizes, w):
+        sums = [v * (2 * m - size) + s for m in range(size + 1) for s in sums]
+    return sums[len(sums) // 2:]
+
+
+# The one program cache, keyed by class sizes and even k, and bounded: more
+# than twice the class programs that criterion 09 (26) or one benchmark
+# workload (24) uses, so none of those rebuilds one.
 @lru_cache(maxsize=64)
-def _flip_solver(n: int, k: int) -> ExactSimplex:
-    """The solver of `_flip_program(n, k)`, prepared, with the all-ones p = 4
-    objective as its home, so that nearby objectives need few pivots."""
-    home = _powers(_signed_sums(Weights.all_ones(n))[0][1 << (n - 1):], 1, Fraction(4), DEFAULT_PREC)
-    solver = ExactSimplex(*_flip_program(n, k), home=home)
+def _flip_solver(sizes: tuple[int, ...], k: int) -> ExactSimplex:
+    """The solver of `_flip_program(sizes, k)`, prepared, with the all-ones
+    p = 4 objective as its home, so that nearby objectives need few pivots."""
+    home = _powers(_profile_sums(sizes, [1] * len(sizes)), 1, Fraction(4), DEFAULT_PREC)
+    solver = ExactSimplex(*_flip_program(sizes, k), home=home)
     solver.prepare()
     return solver
 
 
-def _signed_sums(a: Weights) -> tuple[list[int], int]:
-    """<a, x> for every sign vector x, as integer numerators over the
-    weights' common denominator: returns (s, den) with <a, x> = s[x] / den.
-    The transform of -a on the singleton masks, as (-1)^|{i} & x| = -x_i."""
-    den, w = a.integer_form()
-    f = [0] * (1 << a.n)
-    for i, v in enumerate(w):
-        f[1 << i] = -v
-    return walsh_hadamard(f), den
-
-
 def _atom_slack(n: int, labels, dual, c) -> tuple[list[int], int]:
-    """A^T y - c at the last len(c) of the 2^n atoms, with `dual` aligned
-    with labels: (num, den) with den > 0, as `reduced_costs` returns it.
-    A^T y at every atom is the transform of the signed dual
-    (-1)^|T| * y_T at the masks; on the top half of the atoms, which are the
-    flip program's columns, it is that program's A^T y when the dual is 0
-    on every odd-size label."""
+    """A^T y - c at each of the 2^n atoms, with `dual` aligned with labels:
+    (num, den) with den > 0, as `reduced_costs` returns it.  A^T y at every
+    atom is the transform of the signed dual (-1)^|T| * y_T at the masks."""
     den = lcm(*(v.denominator for v in dual), *{v.denominator for v in c})
     f = [0] * (1 << n)
     for t, y in zip(labels, dual):
         f[subset_mask(t)] = (-1) ** len(t) * y.numerator * (den // y.denominator)
-    aty = walsh_hadamard(f)[(1 << n) - len(c):]
-    return [u - v.numerator * (den // v.denominator) for u, v in zip(aty, c)], den
+    return [u - v.numerator * (den // v.denominator) for u, v in zip(walsh_hadamard(f), c)], den
 
 
 def _certify_full(n: int, labels, c, law, dual) -> bool:
@@ -394,43 +426,73 @@ def solve_full(
     number of minus signs, -1 otherwise); constraining all of them to zero
     for 1 <= |T| <= k is exactly k-wise independence.
 
-    Flipping every sign keeps |<a, x>|^p and every even-size parity and
-    negates every odd-size one, so the average of an optimal law and its
-    flip is optimal too, and it meets the odd-size rows by symmetry.  The
-    solve therefore runs on the flip-symmetric program (one column per pair
-    {x, ~x}, even-size rows only; k = 2j + 1 shares the k = 2j solver) and
-    splits each pair's mass evenly between x and ~x.  The dual gets zeros on
-    the odd-size rows, and `_certify_full` checks every unreduced row.  The
-    two programs share their optimum, so the weak-duality end of a
-    fractional-p enclosure is taken on the flip-symmetric one."""
+    Permuting coordinates of equal weight, or flipping every sign, keeps
+    |<a, x>|^p and maps the rows onto rows (a flip negates the odd-size
+    ones), so averaging an optimal law over those maps keeps it feasible
+    and optimal (Gatermann and Parrilo, J. Pure Appl. Algebra 192, 2004).
+    The solve therefore runs on the flip class program of the weights'
+    classes, the coordinates grouped by equal signed weight in
+    first-occurrence order (see `_flip_program`; k = 2j + 1 shares the
+    k = 2j solver), and spreads each column's mass evenly over the atoms
+    of its profile and of the flipped one.  A class program has
+    prod(n_i + 1) / 2 columns at most, 2^(n-1) when every weight differs.
+    The dual y_T is the class program's dual of T's type on even-size
+    labels and 0 on odd-size ones, and `_certify_full` checks every
+    unreduced row on all 2^n atoms.  The programs share their optimum, so
+    the weak-duality end of a fractional-p enclosure is taken over the
+    atoms with that dual."""
     pf = _validate(n, p, k, full=True, a=a)
     if a is None:
         a = Weights.all_ones(n)
     if a.n != n:
         raise ValueError(f"weight vector has dimension {a.n}, expected {n}")
-    half = 1 << (n - 1)
-    flip = (1 << n) - 1
-    sums, den = _signed_sums(a)
-    objective = _powers(sums[half:], den, pf, prec)
+    den, w = a.integer_form()
+    cls: dict[int, int] = {}  # weight numerator -> class, in first-occurrence order
+    of = [cls.setdefault(v, len(cls)) for v in w]
+    sizes = tuple(map(of.count, range(len(cls))))
+    kk = k - k % 2
+    objective = _powers(_profile_sums(sizes, list(cls)), den, pf, prec)
+    # each atom's profile index, with class i's digit worth place[i]
+    place = [1]
+    for size in sizes:
+        place.append(place[-1] * (size + 1))
+    total, half = place[-1], place[-1] // 2
+    index = [0]
+    for i in of:
+        index += [v + place[i] for v in index]
+    cols = [max(v, total - 1 - v) - half for v in index]
+    # a column's mass is spread evenly over the atoms of its two profiles
+    share = [0] * (total - half)
+    for j in cols:
+        share[j] += 1
+    # each label's row in the class program, None for an odd-size label
     labels = full_constraint_labels(n, k)
-    even = [t for t in labels if len(t) % 2 == 0]  # the flip program's rows, in order
-    c, res, value = _solve(_flip_solver(n, k - k % 2), objective, partial(_atom_slack, n, even))
-    # atom x takes half the mass of its pair's column, whichever member it is
-    pair = [(x if x >= half else x ^ flip) - half for x in range(1 << n)]
-    law = [res.x[j] / 2 for j in pair]
-    # the dual on the unreduced rows: zero on every odd-size label
-    ys = iter(res.y)
-    dual = tuple(next(ys) if len(t) % 2 == 0 else Fraction(0) for t in labels)
-    masses = {x: v for x, v in enumerate(law) if v}
+    type_row = {j: t for t, j in enumerate(_class_types(sizes, kk))}
+    rows = []
+    for t in labels:
+        j = [0] * len(sizes)
+        for i in t:
+            j[of[i]] += 1
+        rows.append(None if len(t) % 2 else type_row[tuple(j)])
+
+    def lift(y):
+        # the dual on the unreduced rows: zero on every odd-size label
+        return tuple(Fraction(0) if t is None else y[t] for t in rows)
+
+    c, res, value = _solve(_flip_solver(sizes, kk), objective,
+                           lambda y, chi: _atom_slack(n, labels, lift(y), [chi[j] for j in cols]))
+    mass = [q / s for q, s in zip(res.x, share)]
+    law = [mass[j] for j in cols]
+    dual = lift(res.y)
     return LpSolution(
         kind="full",
         n=n,
         p=pf,
         k=k,
         optimal_value=value,
-        optimizer=SampleSpace(n, masses),
+        optimizer=SampleSpace(n, {x: v for x, v in enumerate(law) if v}),
         dual=dual,
-        certificate_ok=_certify_full(n, labels, [c[j] for j in pair], law, dual),
+        certificate_ok=_certify_full(n, labels, [c[j] for j in cols], law, dual),
         note=ODD_DIMENSION_NOTE if n % 2 else None,
         prec=prec,
     )

@@ -77,9 +77,6 @@ class Interval:
     def __sub__(self, other) -> "Interval":
         return self + (-_coerce(other))
 
-    def __rsub__(self, other) -> "Interval":
-        return _coerce(other) + (-self)
-
     def __mul__(self, other) -> "Interval":
         o = _coerce(other)
         products = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
@@ -92,9 +89,6 @@ class Interval:
         if o.lo <= 0 <= o.hi:
             raise ZeroDivisionError("interval division by an interval containing 0")
         return self * Interval(1 / o.hi, 1 / o.lo)
-
-    def __rtruediv__(self, other) -> "Interval":
-        return _coerce(other) / self
 
     def pow_int(self, k: int) -> "Interval":
         if k < 0:

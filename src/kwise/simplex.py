@@ -11,8 +11,8 @@ is recomputed as the leaving variable's column, so no pivot recomputes the
 zeros of an identity block.  In phase 1 each row has n + 1 entries however
 many artificials are still basic; after it the nonbasic artificials' slots
 are dropped (see below), and a row keeps the structural nonbasic slots and
-the right-hand side: 65 entries instead of 129 on the flip-symmetric
-n = 8, k = 4 program of `extremal`, 257 instead of 513 at n = 10, k = 4.
+the right-hand side: 65 entries instead of 129 on the all-singleton flip
+program of `extremal` at n = 8, k = 4, 257 instead of 513 at n = 10, k = 4.
 
 Every `maximize` pivots on a copy of one start tableau, fixed by the
 constructor's `start` and `home`, so no result depends on earlier calls.
@@ -33,11 +33,11 @@ ratio test cross-multiplies within rows, so the divisors cancel, and the
 contact rule tests for zeros), and x and y come back as normalized
 Fractions.  True tableau entries are ratios of basis minors, and how large
 the reduced rows get depends on the path of bases.  On the n = 8, k = 4
-flip program the largest entry has 20 bits after Dantzig's phase 1 from the
-all-artificial basis and 7 bits from the even-weight-code start; at
-n = 10, k = 4 it has 112 bits after Dantzig's phase 1 and 9 bits from the
-code start, and 21 bits after the p = 6 solve from either (23 bits in the
-full-width rows).
+all-singleton flip program the largest entry has 20 bits after Dantzig's
+phase 1 from the all-artificial basis and 7 bits from the even-weight-code
+start; at n = 10, k = 4 it has 112 bits after Dantzig's phase 1 and 9 bits
+from the code start, and 21 bits after the all-ones p = 6 solve from
+either (23 bits in the full-width rows).
 
 Entering columns follow Dantzig's largest-violation rule, ties to the lowest
 variable index; leaving rows use the lexicographic ratio test anchored on

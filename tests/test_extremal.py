@@ -468,15 +468,6 @@ class TestFullProgram:
         assert lo == "3.99506153319166886022"
         assert hi == "3.99506153319166886023"
 
-    def test_signed_sums_match_dot_bits(self):
-        # power-of-two scalings move the common denominator both ways
-        base = (1, 2, 3, Fraction(1, 2), Fraction(3, 2), 1, Fraction(2, 3))
-        for scale in (1, 8, Fraction(1, 16), Fraction(-1, 4), Fraction(3, 1024)):
-            w = Weights(tuple(scale * Fraction(v) for v in base))
-            sums, den = extremal._signed_sums(w)
-            assert len(sums) == 1 << 7
-            assert [Fraction(v, den) for v in sums] == [dot_bits(w, x) for x in range(1 << 7)]
-
 
 class TestFlipSymmetry:
     CASES = ((4, 4, 2), (5, 3, 3), (6, 6, 4), (5, Fraction(7, 2), 2))
@@ -542,7 +533,7 @@ class TestFlipSymmetry:
     def test_code_start_exactly_where_it_is_a_basis(self):
         for n in range(1, 9):
             for k in range(1, n + 1):
-                start = extremal._flip_program(n, k - k % 2)[2]
+                start = extremal._flip_program((1,) * n, k - k % 2)[2]
                 if self.code_start_applies(n, k):
                     half = 1 << (n - 1)
                     assert len(start) == 1 << (n - 2), (n, k)
@@ -550,16 +541,31 @@ class TestFlipSymmetry:
                 else:
                     assert start == [], (n, k)
 
+    @staticmethod
+    def singleton_solve(n, p, k):
+        """The all-ones objective on the all-singleton flip program, which
+        starts from the code where it applies: its value, and whether
+        `_certify_full` proves the law and dual spread over the atoms."""
+        half, flip = 1 << (n - 1), (1 << n) - 1
+        pair = [(x if x >= half else x ^ flip) - half for x in range(1 << n)]
+        c = [Fraction(abs(2 * x.bit_count() - n) ** p) for x in range(half, 1 << n)]
+        res = extremal._flip_solver((1,) * n, k - k % 2).maximize(c)
+        labels = full_constraint_labels(n, k)
+        ys = iter(res.y)
+        dual = [next(ys) if len(t) % 2 == 0 else Fraction(0) for t in labels]
+        law = [res.x[j] / 2 for j in pair]
+        return res.value, extremal._certify_full(n, labels, [c[j] for j in pair], law, dual)
+
     def test_code_start_cells_agree_with_reduced(self):
         for n in range(1, 9):
             for k in range(1, n + 1):
                 if not self.code_start_applies(n, k):
                     continue
                 for p in (2, 3, 4, 5):
-                    full = solve_full(n, p, k)
+                    value, certified = self.singleton_solve(n, p, k)
                     red = solve_reduced(n, p, k)
-                    assert full.optimal_value == red.optimal_value, (n, p, k)
-                    assert full.certificate_ok is True and red.certificate_ok is True
+                    assert value == red.optimal_value == solve_full(n, p, k).optimal_value, (n, p, k)
+                    assert certified is True and red.certificate_ok is True
 
     def test_code_start_phase1_pivot_counts(self, monkeypatch):
         # the 2^(n-2) code columns are the whole of phase 1: Dantzig's loop
@@ -576,7 +582,7 @@ class TestFlipSymmetry:
         monkeypatch.setattr(simplex, "_pivot", counted)
         for n, k, want in ((8, 4, 64), (6, 2, 16)):
             pivots.clear()
-            ExactSimplex(*extremal._flip_program(n, k)).prepare()
+            ExactSimplex(*extremal._flip_program((1,) * n, k)).prepare()
             assert len(pivots) == want, (n, k)
 
     def test_perturbed_mass_fails_the_full_certificate(self, monkeypatch):
@@ -600,6 +606,55 @@ class TestFlipSymmetry:
         assert solve_full(5, 4, 3).certificate_ok is False
         width = len(full_constraint_labels(5, 3))
         assert seen == [(width, 32, width)]
+
+
+class TestClassProgram:
+    """`solve_full` runs on the flip class program of the weights' classes:
+    coordinates of equal signed weight, in first-occurrence order."""
+
+    def test_all_singleton_rows_are_the_even_characters(self):
+        for n in range(1, 9):
+            for k in range(0, n + 1, 2):
+                rows, rhs, _ = extremal._flip_program((1,) * n, k)
+                even = [t for t in full_constraint_labels(n, k) if len(t) % 2 == 0]
+                atoms = range(1 << (n - 1), 1 << n)
+                assert rows == [[character(t, x) for x in atoms] for t in even], (n, k)
+                assert rhs == [1] + [0] * (len(even) - 1), (n, k)
+
+    @pytest.mark.parametrize("n,p,k,a", [
+        (5, 4, 2, ("1", "-1", "0", "1", "-1")),
+        (6, 3, 3, ("2", "2", "-1", "0", "2", "-1")),
+        (6, 6, 4, ("1", "0", "1", "0", "1", "0")),
+        (6, Fraction(5, 2), 2, ("1", "1", "1", "0", "-2", "1")),
+        (4, Fraction(7, 2), 3, ("1/2", "-1/2", "1/2", "0")),
+    ])
+    def test_repeated_weights_match_the_unreduced_program(self, n, p, k, a):
+        w = Weights.from_strings(a)
+        labels = full_constraint_labels(n, k)
+        solver = ExactSimplex([[character(t, x) for x in range(1 << n)] for t in labels],
+                              [1] + [0] * (len(labels) - 1))
+        sol = solve_full(n, p, k, a=w)
+        assert sol.certificate_ok is True
+        if isinstance(sol.optimal_value, Fraction):
+            obj = [abs(dot_bits(w, x)) ** p for x in range(1 << n)]
+            assert sol.optimal_value == solver.maximize(obj).value
+        else:
+            obj = [rational_power(abs(dot_bits(w, x)), p) for x in range(1 << n)]
+            lo = solver.maximize([v.lo for v in obj]).value
+            hi = solver.maximize([v.hi for v in obj]).value
+            assert sol.optimal_value.lo <= lo <= hi <= sol.optimal_value.hi
+        # the law is exchangeable within each class of equal weights
+        masses = sol.optimizer.masses
+        by_profile = {}
+        for x in range(1 << n):
+            profile = tuple(sum(x >> i & 1 for i in range(n) if w.a[i] == v) for v in set(w.a))
+            by_profile.setdefault(profile, set()).add(masses.get(x, 0))
+        assert all(len(seen) == 1 for seen in by_profile.values())
+
+    def test_pairwise_quartic_optimum_is_the_partition_law(self):
+        # all-ones weights are one class, so the optimizer is exchangeable,
+        # and the partition law is the one exchangeable law attaining n^3
+        assert solve_full(8, 4, 2).optimizer.masses == partition_space(8).masses
 
 
 class TestFullCertificate:
@@ -633,8 +688,10 @@ class TestFullCertificate:
         # on the wrong labels; the transforms do not share the defect
         real = extremal._flip_program
 
-        def reversed_program(n, k):
-            rows, rhs, start = real(n, k)
+        def reversed_program(sizes, k):
+            # every weight differs, so every class is a singleton
+            rows, rhs, start = real(sizes, k)
+            n = len(sizes)
             half, flip = 1 << (n - 1), (1 << n) - 1
             perm = []
             for j in range(half):

@@ -1,7 +1,8 @@
 """Golden pins on the exact simplex's path through the flip-symmetric
-programs: the pivot count of each phase and a digest of a sequence of
-`solve_full` results.  Any change to the tableau's layout must leave both
-unchanged, since the entering and leaving rules read only true values."""
+programs: the pivot count of each phase on the all-singleton programs and a
+digest of a sequence of `solve_full` results.  Any change to the tableau's
+layout must leave both unchanged, since the entering and leaving rules read
+only true values."""
 import hashlib
 import json
 from fractions import Fraction
@@ -11,9 +12,9 @@ from kwise.extremal import solve_full
 from kwise.moments import Weights
 from kwise.simplex import ExactSimplex
 
-# (n, k) of the flip program, phase-1 pivots, the home solve's pivots on top
-# of them when the flip solver is built, then (p, pivots) for solve_full
-# calls from the home basis
+# (n, k) of the all-singleton flip program, phase-1 pivots, the home solve's
+# pivots on top of them when the flip solver is built, then (p, pivots) for
+# the all-ones objective maximized from the home basis
 PIVOT_PATH = (
     (8, 4, 64, 35, ((4, 0), (5, 51))),
     (8, 2, 38, 49, ((3, 2),)),
@@ -34,7 +35,13 @@ WARM_SEQUENCE = (
     (8, 3, 2, ("1", "1", "2", "2", "1", "1/2", "1", "1")),
     (8, 6, 2, None),
 )
-WARM_DIGEST = "75fbdc0d08e694ee4e5189dcea46eed5078b50aa19ee3178c19e0f2916a6a969"
+WARM_DIGEST = "acc9ccce19a664c278b01bcd97c9bdd88c8dbe0278cdf648abf4320f19d6cd0a"
+
+
+def ones_objective(n: int, p: int) -> list[int]:
+    """|sum of signs|^p on the columns of the all-singleton flip program, the
+    atoms x >= 2^(n-1)."""
+    return [abs(2 * x.bit_count() - n) ** p for x in range(1 << (n - 1), 1 << n)]
 
 
 def test_pivot_counts_per_phase(monkeypatch):
@@ -49,14 +56,14 @@ def test_pivot_counts_per_phase(monkeypatch):
     for n, k, phase1, home, solves in PIVOT_PATH:
         extremal._flip_solver.cache_clear()
         count[0] = 0
-        ExactSimplex(*extremal._flip_program(n, k)).prepare()
+        ExactSimplex(*extremal._flip_program((1,) * n, k)).prepare()
         assert count[0] == phase1, (n, k)
         count[0] = 0
-        extremal._flip_solver(n, k)
+        solver = extremal._flip_solver((1,) * n, k)
         assert count[0] == phase1 + home, (n, k)
         for p, want in solves:
             count[0] = 0
-            solve_full(n, p, k)
+            solver.maximize(ones_objective(n, p))
             assert count[0] == want, (n, k, p)
 
 

@@ -9,7 +9,6 @@ from itertools import combinations
 import pytest
 
 from kwise import extremal, simplex
-from kwise.extremal import solve_full
 from kwise.simplex import ExactSimplex, reduced_costs, verify_certificate
 
 
@@ -404,14 +403,15 @@ def test_runs_after_phase1_pivot_on_live_slots_only(monkeypatch):
     monkeypatch.setattr(simplex, "_pivot", recorded)
     for n, k, width in ((8, 4, 65), (7, 4, 8), (8, 2, 100)):
         widths.clear()
-        solver = ExactSimplex(*extremal._flip_program(n, k))
+        solver = ExactSimplex(*extremal._flip_program((1,) * n, k))
         solver.prepare()
         assert set(widths) == {solver.n + 1}, (n, k)
         M, _, basis, nonbasic = solver._tableau
         assert all(j < solver.n for j in nonbasic), (n, k)
         structural = sum(j < solver.n for j in basis)
         assert {len(row) for row in M} == {solver.n - structural + 1} == {width}, (n, k)
-    assert {len(row) for row in extremal._flip_solver(8, 4)._tableau[0]} == {65}
+    solver = extremal._flip_solver((1,) * 8, 4)
+    assert {len(row) for row in solver._tableau[0]} == {65}
     widths.clear()
-    solve_full(8, 5, 4)
+    solver.maximize([abs(2 * x.bit_count() - 8) ** 5 for x in range(128, 256)])
     assert len(widths) == 51 and set(widths) == {65}
