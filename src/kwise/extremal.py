@@ -35,9 +35,11 @@ MAX_FULL_DIMENSION = 12
 # entries.  The full bounds count the all-singleton flip program, which
 # solve_full runs when the weights all differ and which is the largest
 # class program of its (n, k), so they bound every program solve_full runs.
-# It takes 11 s at (10, 4) with p = 6, its slowest objective there, 21 s at
-# (12, 2), and 223 s at (11, 4) with p = 4 (58 MB peak), each in a fresh
-# process; all-ones weights, one class, take 0.2 s at (10, 4) with p = 6.
+# With weights that all differ it took 17 s at (10, 4) with p = 6, its
+# slowest objective there, and 21-24 s at (12, 2) with p = 4 and 6, each in
+# a fresh process; the (11, 4) program, which the bound refuses, took 223 s
+# with p = 4 (58 MB peak).  All-ones weights, one class, take 0.2 s at
+# (10, 4) with p = 6.
 # Its rows never outnumber its columns, so its entry bound bounds its rows
 # too.
 MAX_REDUCED_ROWS = 11
@@ -50,8 +52,8 @@ MAX_FULL_ENTRIES = 140_000
 # up to 3028 there; p = 3027 took 28-39 s.  The all-singleton flip
 # program's time follows its pivots more than its bits (31.5 s at (10, 4)
 # and 35 s at (12, 2) at p = 4095 with the all-ones objective), but weights
-# of 61 bits made 3.4e7 bits take 43-48 s; at its bound, (12, 2) at
-# p = 1023 took 32 s.
+# of 61 bits made 3.4e7 bits take 43-48 s; at its bound, (12, 2) with
+# weights 1..12 at p = 585 took 40 s.
 MAX_REDUCED_BITS = 1 << 28
 MAX_FULL_BITS = 1 << 23
 
@@ -372,10 +374,9 @@ def _profile_sums(sizes: tuple[int, ...], w) -> list[int]:
 # workload (24) uses, so none of those rebuilds one.
 @lru_cache(maxsize=64)
 def _flip_solver(sizes: tuple[int, ...], k: int) -> ExactSimplex:
-    """The solver of `_flip_program(sizes, k)`, prepared, with the all-ones
-    p = 4 objective as its home, so that nearby objectives need few pivots."""
-    home = _powers(_profile_sums(sizes, [1] * len(sizes)), 1, Fraction(4), DEFAULT_PREC)
-    solver = ExactSimplex(*_flip_program(sizes, k), home=home)
+    """The solver of `_flip_program(sizes, k)`, prepared: every objective
+    is maximized from its phase-1 basis."""
+    solver = ExactSimplex(*_flip_program(sizes, k))
     solver.prepare()
     return solver
 

@@ -14,8 +14,9 @@ are dropped (see below), and a row keeps the structural nonbasic slots and
 the right-hand side: 65 entries instead of 129 on the all-singleton flip
 program of `extremal` at n = 8, k = 4, 257 instead of 513 at n = 10, k = 4.
 
-Every `maximize` pivots on a copy of one start tableau, fixed by the
-constructor's `start` and `home`, so no result depends on earlier calls.
+Every `maximize` pivots on a copy of one start tableau, phase 1's, begun
+from the constructor's `start` columns, so no result depends on earlier
+calls.
 
 Each row is kept fraction-free: an integer vector together with one
 positive integer divisor, instead of one divisor shared by the whole tableau
@@ -89,9 +90,9 @@ class SimplexResult:
 class ExactSimplex:
     """max of c.x subject to rows.x = rhs, x >= 0, over exact rationals.
 
-    Constraint data must be integer.  Every `maximize` starts from one
-    feasible basis, phase 1's or else the optimum of `home` from it, so its
-    result depends only on the constructor's arguments and c.
+    Constraint data must be integer.  Every `maximize` starts from phase
+    1's feasible basis, so its result depends only on the constructor's
+    arguments and c.
 
     Phase 1 first pivots in the `start` columns, each on the first row whose
     artificial is still basic and where the column has a nonzero entry, and
@@ -109,7 +110,6 @@ class ExactSimplex:
         rows: Sequence[Sequence[int]],
         rhs: Sequence[int],
         start: Sequence[int] = (),
-        home: Sequence | None = None,
     ):
         if not rows:
             raise ValueError("no constraint rows")
@@ -129,7 +129,6 @@ class ExactSimplex:
         self.m = len(rows)
         self.rows = [list(r) for r in rows]
         self.rhs = list(rhs)
-        self.home = None if home is None else tuple(home)
         # the feasible tableau every maximize starts from, as (rows,
         # divisors, basis, nonbasic); built once, by prepare
         self._tableau: tuple[list[list[int]], list[int], list[int], list[int]] | None = None
@@ -138,13 +137,10 @@ class ExactSimplex:
         self._inverse: tuple[list[int], list[list[int]], int] | None = None
 
     def prepare(self) -> None:
-        """Build the start tableau, once: phase 1, then the optimum of the
-        home objective if there is one.  The first `maximize` calls it."""
+        """Build the start tableau, once: phase 1, then its live slots.  The
+        first `maximize` calls it."""
         if self._tableau is None:
-            start = self._narrow(*self._phase1())
-            if self.home is not None:
-                self._run(self.home, *start)
-            self._tableau = start
+            self._tableau = self._narrow(*self._phase1())
 
     # -- phase 1 -----------------------------------------------------------
 
@@ -185,7 +181,7 @@ class ExactSimplex:
         artificials' columns: a nonbasic one's slot, or the row's divisor
         where the row's own artificial is basic.  The rows are stored over
         one common denominator, with the column of a negated row negated,
-        so that `_run` gets the dual y = z B1^-1 as one integer sum."""
+        so that `maximize` gets the dual y = z B1^-1 as one integer sum."""
         n, m = self.n, self.m
         col = [None] * m
         for s, j in enumerate(nonbasic):
@@ -286,15 +282,13 @@ class ExactSimplex:
         under the artificials' columns."""
         if self._tableau is None:
             self.prepare()
-        M, divs, basis, nonbasic = self._tableau
-        return self._run(c, [row[:] for row in M], divs[:], basis[:], nonbasic[:])
-
-    def _run(self, c: Sequence, M, divs, basis, nonbasic) -> SimplexResult:
-        """Optimize c from the feasible tableau given, pivoting in place."""
         cf = [v if type(v) is Fraction else Fraction(v) for v in c]
         if len(cf) != self.n:
             raise ValueError(f"objective length {len(cf)} != {self.n} columns")
         n, m = self.n, self.m
+        # pivot on a copy, so that the start tableau is never changed
+        M, divs, basis, nonbasic = self._tableau
+        M, divs, basis, nonbasic = [row[:] for row in M], divs[:], basis[:], nonbasic[:]
         # objective row holds true reduced costs over one divisor: start from
         # -c and add back the basic rows' contributions on one common scale
         Lc = L = lcm(*(v.denominator for v in cf))

@@ -360,8 +360,8 @@ class TestHistory:
 
     def test_full_route_keeps_value_and_certificate(self):
         # the flip solver is shared by k and k + 1 for even k; every solve on
-        # it starts from the same home basis, so the whole solution, optimizer
-        # and dual included, is the fresh one
+        # it starts from the same phase-1 basis, so the whole solution,
+        # optimizer and dual included, is the fresh one
         cases = ((7, 4, 3, ((5, 4), (4, 5))), (7, 4, 4, ((3, 4), (6, 5))),
                  (8, 2, 3, ((4, 2), (5, 3), (6, 2))), (8, 2, 6, ((3, 3), (4, 2))))
         for n, k, p, others in cases:

@@ -12,13 +12,12 @@ from kwise.extremal import solve_full
 from kwise.moments import Weights
 from kwise.simplex import ExactSimplex
 
-# (n, k) of the all-singleton flip program, phase-1 pivots, the home solve's
-# pivots on top of them when the flip solver is built, then (p, pivots) for
-# the all-ones objective maximized from the home basis
+# (n, k) of the all-singleton flip program, phase-1 pivots, then (p, pivots)
+# for the all-ones objective maximized from the phase-1 basis
 PIVOT_PATH = (
-    (8, 4, 64, 35, ((4, 0), (5, 51))),
-    (8, 2, 38, 49, ((3, 2),)),
-    (7, 4, 57, 0, ((5, 13),)),
+    (8, 4, 64, ((4, 35), (5, 70))),
+    (8, 2, 38, ((3, 48),)),
+    (7, 4, 57, ((5, 13),)),
 )
 
 # a sequence over several solvers: all-ones and weighted, integer and
@@ -44,7 +43,8 @@ def ones_objective(n: int, p: int) -> list[int]:
     return [abs(2 * x.bit_count() - n) ** p for x in range(1 << (n - 1), 1 << n)]
 
 
-def test_pivot_counts_per_phase(monkeypatch):
+def count_pivots(monkeypatch) -> list[int]:
+    """Count every `simplex._pivot` call in the returned one-item list."""
     real = simplex._pivot
     count = [0]
 
@@ -53,18 +53,41 @@ def test_pivot_counts_per_phase(monkeypatch):
         real(*args)
 
     monkeypatch.setattr(simplex, "_pivot", counted)
-    for n, k, phase1, home, solves in PIVOT_PATH:
+    return count
+
+
+def test_pivot_counts_per_phase(monkeypatch):
+    count = count_pivots(monkeypatch)
+    for n, k, phase1, solves in PIVOT_PATH:
         extremal._flip_solver.cache_clear()
         count[0] = 0
-        ExactSimplex(*extremal._flip_program((1,) * n, k)).prepare()
-        assert count[0] == phase1, (n, k)
-        count[0] = 0
         solver = extremal._flip_solver((1,) * n, k)
-        assert count[0] == phase1 + home, (n, k)
+        assert count[0] == phase1, (n, k)
         for p, want in solves:
             count[0] = 0
             solver.maximize(ones_objective(n, p))
             assert count[0] == want, (n, k, p)
+
+
+def test_cached_solver_solves_as_a_fresh_one(monkeypatch):
+    # building the cached solver makes only phase 1's pivots, and maximize
+    # never changes its start basis; most of these objectives have more
+    # than one optimal x or y, so a start from another basis can return
+    # another one
+    count = count_pivots(monkeypatch)
+    for sizes, k in (((1,) * 8, 2), ((2, 2, 3), 2)):
+        extremal._flip_solver.cache_clear()
+        count[0] = 0
+        ExactSimplex(*extremal._flip_program(sizes, k)).prepare()
+        phase1 = count[0]
+        count[0] = 0
+        cached = extremal._flip_solver(sizes, k)
+        assert count[0] == phase1, sizes
+        for w in ([1] * len(sizes), list(range(1, len(sizes) + 1))):
+            for p in (3, 5, 6):
+                c = [abs(v) ** p for v in extremal._profile_sums(sizes, w)]
+                fresh = ExactSimplex(*extremal._flip_program(sizes, k)).maximize(c)
+                assert cached.maximize(c) == fresh, (sizes, w, p)
 
 
 def test_warm_solve_full_sequence_digest():

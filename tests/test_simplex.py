@@ -277,18 +277,6 @@ def test_maximize_does_not_depend_on_earlier_objectives():
     assert first == ExactSimplex(rows, rhs).maximize(c)
 
 
-def test_home_objective_sets_the_start_basis():
-    rows, rhs = [[1, 1, 1, 1]], [1]
-    home = [Fraction(0), Fraction(0), Fraction(5), Fraction(1)]
-    solver = ExactSimplex(rows, rhs, home=home)
-    solver.prepare()
-    assert solver._tableau[2] == [2]
-    # c ties x0 with x2: from the home basis x2 is already optimal
-    c = [Fraction(1), Fraction(0), Fraction(1), Fraction(0)]
-    assert solver.maximize(c).x == (0, 0, 1, 0)
-    assert ExactSimplex(rows, rhs).maximize(c).x == (1, 0, 0, 0)
-
-
 def test_start_columns_give_the_same_certified_optimum():
     rows = [[2, 1, 0, 1], [1, 0, 1, 3]]
     rhs = [4, 5]
@@ -327,11 +315,11 @@ def test_infeasible_start_basis_is_rejected():
 
 def _random_programs(count=200, seed=20261021):
     """Seeded small integer programs, each with the objectives to maximize
-    on it: (rows, rhs, start, home, objectives).  A bounding row of ones
-    keeps every one finite.  Every fourth program has a repeated row (its
+    on it: (rows, rhs, start, objectives).  A bounding row of ones keeps
+    every one finite.  Every fourth program has a repeated row (its
     artificial can stay basic at zero), every fourth a right-hand side
-    that admits its `start` columns, every fourth a `home` objective, and
-    random rows give negative right-hand sides throughout."""
+    that admits its `start` columns, and random rows give negative
+    right-hand sides throughout."""
     rng = random.Random(seed)
     for trial in range(count):
         m = rng.randint(1, 4)
@@ -350,25 +338,21 @@ def _random_programs(count=200, seed=20261021):
             scale = rng.choice((1, -1, 2))
             rows.append([scale * v for v in rows[i]])
             rhs.append(scale * rhs[i])
-        home = None
-        if trial % 4 == 3 or trial % 8 == 5:
-            home = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
         objectives = [[Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3))) for _ in range(n)]
                       for _ in range(3)]
-        yield rows, rhs, start, home, objectives
+        yield rows, rhs, start, objectives
 
 
 # sha256 over every maximize of _random_programs: its value, x and y as
-# strings, or the error a program raises; recorded before the artificial
-# slots were dropped after phase 1
-RANDOM_DIGEST = "ae699659d108a18bbb7fa91919b02bf2e7d51a996849f1f2d8df1bfe1788af74"
+# strings, or the error a program raises
+RANDOM_DIGEST = "234412a1f6819bb2d74956db2e20a6f3a3c81952eb7a06d8a8830c74259388a4"
 
 
 def test_random_programs_keep_value_primal_and_dual():
     h = hashlib.sha256()
-    solved = negative = repeated = started = homed = 0
-    for rows, rhs, start, home, objectives in _random_programs():
-        solver = ExactSimplex(rows, rhs, start=start, home=home)
+    solved = negative = repeated = started = 0
+    for rows, rhs, start, objectives in _random_programs():
+        solver = ExactSimplex(rows, rhs, start=start)
         for c in objectives:
             try:
                 res = solver.maximize(c)
@@ -380,19 +364,18 @@ def test_random_programs_keep_value_primal_and_dual():
             # an artificial still basic at zero in the start basis
             repeated += any(j >= len(c) for j in solver._tableau[2])
             started += bool(start)
-            homed += home is not None
             assert verify_certificate(rows, rhs, c, res.x, res.y)
             h.update(json.dumps([str(res.value), [str(v) for v in res.x],
                                  [str(v) for v in res.y]]).encode() + b"\n")
-    assert min(negative, repeated, started, homed) >= 60 and solved >= 400, (
-        solved, negative, repeated, started, homed)
+    assert min(negative, repeated, started) >= 60 and solved >= 400, (
+        solved, negative, repeated, started)
     assert h.hexdigest() == RANDOM_DIGEST
 
 
 def test_runs_after_phase1_pivot_on_live_slots_only(monkeypatch):
     # phase 1 pivots on all n structural and m artificial variables' slots;
     # after it each row keeps the structural nonbasic slots and the
-    # right-hand side, and the home run and every maximize pivot on those
+    # right-hand side, and every maximize pivots on those
     widths = []
     real = simplex._pivot
 
@@ -414,4 +397,4 @@ def test_runs_after_phase1_pivot_on_live_slots_only(monkeypatch):
     assert {len(row) for row in solver._tableau[0]} == {65}
     widths.clear()
     solver.maximize([abs(2 * x.bit_count() - 8) ** 5 for x in range(128, 256)])
-    assert len(widths) == 51 and set(widths) == {65}
+    assert len(widths) == 70 and set(widths) == {65}
