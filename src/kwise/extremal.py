@@ -248,7 +248,8 @@ class LpSolution:
 def _solve(solver: ExactSimplex, objective, slack):
     """One solver pass.  Returns (c, result, value): the coefficients c
     actually solved, the solver's result for them, and the value, which the
-    caller certifies by checking result.x and result.y against c.
+    caller certifies by checking result.x and result.y against c.  Phase 1
+    runs in `prepare`, apart from `maximize`; a cached solver has run it.
 
     Interval coefficients are solved once, at their midpoints.  With x and y
     the midpoint optimizer and dual, the value is the weak-duality enclosure
@@ -261,6 +262,7 @@ def _solve(solver: ExactSimplex, objective, slack):
     objective, not on earlier passes."""
     exact = not isinstance(objective[0], Interval)
     c = [Fraction(v) for v in objective] if exact else [v.midpoint for v in objective]
+    solver.prepare()
     res = solver.maximize(c)
     if exact:
         return c, res, res.value

@@ -21,22 +21,26 @@ draw's shuffle words unread.  That is exact while every buffered word is
 below each threshold the draw could test, which it checks once per block;
 from the first block where that fails it hands the words to the exact
 _partition draw, a case of probability below 2n*_BLOCK/2^64 per block.
-Estimates accumulate in IEEE doubles; at the bounded magnitudes involved the
-rounding error is far below the Monte Carlo noise.
+An estimate counts its draws by an integer key, the sum of the integer
+weights on the draw's +1 coordinates, and values each distinct key once as
+a double.  It sums those doubles and their squares exactly, as integers, so
+its mean and standard error are each rounded once, and it does not depend
+on the chunks in which the draws were counted.
 """
 from __future__ import annotations
 
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
-from itertools import chain, repeat
+from functools import partial
+from itertools import chain, islice, repeat
 from math import log2, sqrt
 from typing import Iterator, Optional
 
 from .core import MAX_DIMENSION, SignVector
 from .constructions import xor_pattern, xor_sign
-from .moments import Weights
+from .moments import Weights, _plus_sum
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -45,6 +49,8 @@ MAX_XOR_EXPONENT = 30
 KINDS = ("partition", "xor", "independent")
 
 _BLOCK = 256  # words per block, one 128-bit lane each
+_CHUNK = 1 << 12  # draws an estimate counts at a time
+_SCALE = 1074  # every finite double is a multiple of 2^-_SCALE
 _LOW = int.from_bytes((b"\xff" * 8 + bytes(8)) * _BLOCK, "little")
 _ONES = int.from_bytes((b"\x01" + bytes(15)) * _BLOCK, "little")
 _STEPS = int.from_bytes(
@@ -287,18 +293,46 @@ class McEstimate:
         }
 
 
+def _plus_sums(w: list[int], draws: Iterator[int]) -> Iterator[int]:
+    """Sum of w over the +1 coordinates of each draw: one lookup per 8
+    coordinates, in a table of the sums of w over every subset of them."""
+    tables = []
+    for start in range(0, len(w), 8):
+        table = [0]
+        for wi in w[start:start + 8]:
+            table += [t + wi for t in table]
+        tables.append(table)
+    size = len(tables)
+
+    def plus_sum(bits):
+        return sum(map(list.__getitem__, tables, bits.to_bytes(size, "little")))
+
+    return map(plus_sum, draws)
+
+
 def estimate_moment(
     spec: StreamSpec, a: Optional[Weights], p, samples: int
 ) -> McEstimate:
     """Monte Carlo mean of |<a, x>|^p over the stream, with standard error.
 
-    Accumulation is Welford's one-pass algorithm in doubles.  a = None means
-    all-ones weights, where a draw counts only through its Hamming weight:
-    the partition kind then reads the weights from _partition_weights,
-    which skips the shuffle words, and the result is the same double.
-    Welford's squared deviations reach samples * M^(2p), M = max |<a, x>|
-    <= sum |a_i| (the dimension for a = None), so an exponent for which
-    that bound passes the largest double is refused before any draw."""
+    Each draw has an integer key, its plus-sum: with (den, w) =
+    a.integer_form(), all ones for a = None, the sum of w over its +1
+    coordinates.  Its value is the double (|2 * key - sum(w)| / den) ** p.
+    For a = None the key is the draw's Hamming weight, which the partition
+    kind reads from _partition_weights, skipping the shuffle words.  A
+    weighted xor draw, one of at most 2^(n+1), is counted as it is and its
+    plus-sum taken once per distinct draw; other weighted draws look theirs
+    up in byte tables.  Keys are counted _CHUNK draws at a time, each
+    distinct key is valued once, and the counts fold into the exact integer
+    sums of the values and of their squares at the scale 2^_SCALE, where
+    every double is an integer.  So the result does not depend on the
+    chunking, and the memory does not grow with samples.  The mean and the
+    variance of the mean are exact rationals, each rounded once.
+
+    The squared values reach M^(2p), M = max |<a, x>| <= sum |a_i| (the
+    dimension for a = None); an exponent for which samples * M^(2p) passes
+    the largest double is refused before any draw, which keeps the rounded
+    variance finite."""
     if samples < 100:
         raise ValueError(f"need at least 100 samples, got {samples}")
     pf = Fraction(p)
@@ -314,30 +348,30 @@ def estimate_moment(
     if log2(samples) + 2 * pe * (log2(top.numerator) - log2(top.denominator)) >= 1024:
         raise ValueError(f"exponent {pf} too large: {samples} * ({top})^(2p) overflows a double")
     draws = Stream(spec).draws
+    plus = None  # the plus-sum of a key, where the key is not one itself
     if a is None:
-        table = [float(abs(2 * m - dim)) ** pe for m in range(dim + 1)]
+        den, wsum = 1, dim
         if spec.kind == "partition":
-            weights = _partition_weights(spec.n, _blocks(spec.seed))
+            keys = _partition_weights(spec.n, _blocks(spec.seed))
         else:
-            weights = map(int.bit_count, draws)
-        values = map(table.__getitem__, weights)
+            keys = map(int.bit_count, draws)
     else:
-        coeffs = [float(v) for v in a.a]
-
-        def value(bits):
-            dot = 0.0
-            for j, cj in enumerate(coeffs):
-                dot += cj if (bits >> j) & 1 else -cj
-            return abs(dot) ** pe
-
-        # xor has at most 2^(n+1) distinct draws; other kinds keep nothing
-        # per draw, because their draws need not repeat
-        values = map(cache(value) if spec.kind == "xor" else value, draws)
-    mean = 0.0
-    m2 = 0.0
-    for i, t in zip(range(1, samples + 1), values):
-        delta = t - mean
-        mean += delta / i
-        m2 += delta * (t - mean)
-    variance = m2 / (samples - 1)
-    return McEstimate(mean, sqrt(variance / samples), samples)
+        den, w = a.integer_form()
+        wsum = sum(w)
+        if spec.kind == "xor":
+            keys, plus = draws, partial(_plus_sum, w)
+        else:
+            keys = _plus_sums(w, draws)
+    s1 = s2 = 0
+    for start in range(0, samples, _CHUNK):
+        for key, count in Counter(islice(keys, min(_CHUNK, samples - start))).items():
+            if plus:
+                key = plus(key)
+            num, d = ((abs(2 * key - wsum) / den) ** pe).as_integer_ratio()
+            shift = _SCALE + 1 - d.bit_length()  # d is a power of two
+            s1 += count * num << shift
+            s2 += count * num * num << 2 * shift
+    n = samples
+    mean = s1 / (n << _SCALE)
+    variance = (n * s2 - s1 * s1) / ((n * n * (n - 1)) << 2 * _SCALE)
+    return McEstimate(mean, sqrt(variance), samples)

@@ -782,7 +782,7 @@ GOLDEN_ARGV = (
     ("constant", "--n", "4"),
     ("sample", "--kind", "xor", "--n", "7", "--samples", "1"),
 )
-GOLDEN_DIGEST = "721d6e92c560f7d8a77ddb8339a554be54ee5bdd6ca1673a4acbba2ec85c7633"
+GOLDEN_DIGEST = "5dfa204e08c96ada34c3195d1f34fc55e7698d78d253ca42177c99312b27b8ed"
 
 
 def test_golden_cli_bytes(capsys):

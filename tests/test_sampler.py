@@ -1,10 +1,13 @@
 """Streaming draws and Monte Carlo moment estimates."""
 import hashlib
+import tracemalloc
 from fractions import Fraction
 from itertools import chain, islice
+from math import sqrt
 
 import pytest
 
+from kwise import sampler
 from kwise.constructions import partition_space, xor_space
 from kwise.moments import Weights, pth_moment
 from kwise.sampler import (
@@ -336,11 +339,70 @@ class TestEstimateMoment:
         assert data["samples"] == 1_000
 
 
+# repeated, negative, zero and non-dyadic weights
+_MIXED_WEIGHTS = [Fraction(1, 3), Fraction(-2, 7), Fraction(0), Fraction(1, 3), Fraction(5),
+                  Fraction(-1, 10), Fraction(3, 4), Fraction(2)] * 8
+
+
+def _oracle(spec, a, p, samples):
+    """(mean, std_error) of the first draws' values |<a, x>|^p, each the
+    double of the exact dot raised to p, summed as Fractions."""
+    coeffs = a.a if a is not None else (Fraction(1),) * spec.dimension
+    pe = float(Fraction(p))
+    values = [Fraction(float(abs(sum(c if bits >> i & 1 else -c for i, c in enumerate(coeffs)))) ** pe)
+              for bits in islice(Stream(spec).draws, samples)]
+    mean = sum(values) / samples
+    variance = sum((v - mean) ** 2 for v in values) / (samples * (samples - 1))
+    return float(mean), sqrt(float(variance))
+
+
+class TestExactSums:
+    @pytest.mark.parametrize("p", [3, 4, Fraction(5, 2)])
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("kind,n", [("partition", 10), ("xor", 3), ("independent", 20)])
+    def test_mean_and_error_are_the_exact_sums_rounded_once(self, kind, n, weighted, p):
+        spec = StreamSpec(kind, n, 17)
+        a = Weights(tuple(_MIXED_WEIGHTS[:spec.dimension])) if weighted else None
+        est = estimate_moment(spec, a, p, 700)
+        assert (est.mean, est.std_error, est.samples) == (*_oracle(spec, a, p, 700), 700)
+
+    def test_wide_non_dyadic_weights(self):
+        spec = StreamSpec("independent", 62, 3)
+        a = Weights(tuple(Fraction(1, i + 1) for i in range(62)))
+        est = estimate_moment(spec, a, Fraction(5, 2), 300)
+        assert (est.mean, est.std_error) == _oracle(spec, a, Fraction(5, 2), 300)
+
+    @pytest.mark.parametrize("kind,n,weighted", [
+        ("partition", 8, False), ("partition", 8, True), ("xor", 4, True),
+        ("independent", 62, False), ("independent", 30, True),
+    ])
+    def test_chunking_does_not_change_the_estimate(self, monkeypatch, kind, n, weighted):
+        spec = StreamSpec(kind, n, 5)
+        a = Weights(tuple(_MIXED_WEIGHTS[:spec.dimension])) if weighted else None
+        whole = estimate_moment(spec, a, Fraction(7, 2), 1_050)
+        monkeypatch.setattr(sampler, "_CHUNK", 100)
+        assert estimate_moment(spec, a, Fraction(7, 2), 1_050) == whole
+
+    def test_memory_does_not_grow_with_samples(self):
+        # every draw has its own key here: one Counter over all 25 000 draws
+        # peaked at 2.9 MB, the draws counted 4096 at a time at 0.46 MB
+        a = Weights(tuple(Fraction(1, i + 1) for i in range(62)))
+        tracemalloc.start()
+        try:
+            estimate_moment(StreamSpec("independent", 62, 1), a, 4, 25_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+
 # -- golden stream ------------------------------------------------------------
 # Every word, draw and estimate below is part of the determinism contract:
 # the same (kind, n, seed) gives the same sequence in every release.  The
-# pinned values were recorded from the one-word-at-a-time generator; a faster
-# generator must reproduce them bit for bit.
+# pinned words and draws were recorded from the one-word-at-a-time generator;
+# a faster generator must reproduce them bit for bit.  The pinned estimates
+# are exact sums over the draws, each rounded once, so no faster summation
+# may move them either.
 
 
 def _splitmix64_reference(seed, count):
@@ -362,6 +424,26 @@ def _digest(values):
 
 
 _FRACTIONAL_WEIGHTS = [Fraction(i % 5 + 1, i % 3 + 1) for i in range(63)]
+
+# each mean and standard error is the exact rational over the 3000 values,
+# rounded once
+_ESTIMATE_PINS = [  # kind, n, weighted, p, mean, std_error
+    ("partition", 6, False, 4, "202.176", "8.587174556489533"),
+    ("partition", 6, False, Fraction(5, 2), "13.756334395470327", "0.5842832221002722"),
+    ("partition", 6, True, 4, "1662.9105493827165", "60.57760214943796"),
+    ("partition", 6, True, Fraction(5, 2), "66.93512016944081", "1.9045308032874908"),
+    ("xor", 3, False, 4, "562.5173333333333", "25.744306919988347"),
+    ("xor", 3, False, Fraction(5, 2), "24.859988808435848", "1.1377483750044701"),
+    ("xor", 3, True, 4, "4554.734703703704", "197.17568965590715"),
+    ("xor", 3, True, Fraction(5, 2), "109.10554439489847", "3.961393081631036"),
+    ("independent", 9, False, 4, "222.73866666666666", "10.839995857139506"),
+    ("independent", 9, False, Fraction(5, 2), "19.022886310832188", "0.5629328032958325"),
+    ("independent", 9, True, 4, "2769.763547325103", "110.6159000057578"),
+    ("independent", 9, True, Fraction(5, 2), "96.92817173277186", "2.547495774945951"),
+    ("partition", 62, False, 3, "3654.362666666667", "534.7487058735283"),
+    ("independent", 63, True, 3, "8504.657234567901", "324.9867478086967"),
+    ("xor", 5, False, Fraction(7, 3), "113.78490740508059", "10.910032945470688"),
+]
 
 
 class TestGoldenStream:
@@ -417,23 +499,9 @@ class TestGoldenStream:
         bounds = ((1 << 63) + 1, (1 << 64) - 1, 3 << 62, 1 << 64)
         assert _digest(g.below(b) for b in bounds for _ in range(50)) == "01c53faa98a3aad7"
 
-    @pytest.mark.parametrize("kind,n,weighted,p,mean,std_error", [
-        ("partition", 6, False, 4, "202.17599999999942", "8.587174556489536"),
-        ("partition", 6, False, Fraction(5, 2), "13.756334395470352", "0.5842832221002718"),
-        ("partition", 6, True, 4, "1662.9105493827149", "60.57760214943792"),
-        ("partition", 6, True, Fraction(5, 2), "66.93512016944074", "1.9045308032874906"),
-        ("xor", 3, False, 4, "562.5173333333345", "25.744306919988354"),
-        ("xor", 3, False, Fraction(5, 2), "24.85998880843582", "1.1377483750044706"),
-        ("xor", 3, True, 4, "4554.7347037037025", "197.17568965590706"),
-        ("xor", 3, True, Fraction(5, 2), "109.10554439489871", "3.9613930816310314"),
-        ("independent", 9, False, 4, "222.73866666666711", "10.839995857139506"),
-        ("independent", 9, False, Fraction(5, 2), "19.02288631083219", "0.5629328032958328"),
-        ("independent", 9, True, 4, "2769.763547325101", "110.61590000575784"),
-        ("independent", 9, True, Fraction(5, 2), "96.92817173277177", "2.547495774945951"),
-        ("partition", 62, False, 3, "3654.362666666674", "534.7487058735278"),
-        ("independent", 63, True, 3, "8504.657234567934", "324.98674780869686"),
-        ("xor", 5, False, Fraction(7, 3), "113.78490740508012", "10.910032945470682"),
-    ])
+    @pytest.mark.parametrize("kind,n,weighted,p,mean,std_error", _ESTIMATE_PINS,
+                             ids=[f"{kind}-{n}-{weighted}-{p}".replace("/", "_")
+                                  for kind, n, weighted, p, *_ in _ESTIMATE_PINS])
     def test_estimates(self, kind, n, weighted, p, mean, std_error):
         spec = StreamSpec(kind, n, 31)
         a = Weights(tuple(_FRACTIONAL_WEIGHTS[:spec.dimension])) if weighted else None
